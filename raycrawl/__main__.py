@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--robots", action="store_true",
                    help="respect the synthetic robots.txt")
     c.add_argument("--seen-shards", type=int, default=None,
-                   help="URL-seen shard count (default: cluster CPUs / 2)")
+                   help="URL-seen shard count (default: min(8, cluster CPUs))")
     c.add_argument("--neardup", type=float, default=None, metavar="JACCARD",
                    help="ingestion-time near-dup detection: probe each "
                         "round's fetched pages against the crawl's MinHash "
@@ -102,9 +102,8 @@ def main(argv=None) -> int:
         from raycrawl.config import CrawlConfig
         from raycrawl.crawl import crawl
 
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
         cfg = CrawlConfig(
-            num_seen_shards=args.seen_shards or max(8, ncpu // 2),
+            num_seen_shards=args.seen_shards,
             politeness_delay_ms=args.politeness_ms,
             respect_robots=args.robots,
             neardup_threshold=args.neardup,

@@ -18,7 +18,11 @@ class CrawlConfig:
     max_crawl_depth: int = 5       # MAX_CRAWL_DEPTH; manager/src/routes/crawl.rs:28
 
     # Ray-side physical knobs (no reference analogue; SURVEY.md §4)
-    num_seen_shards: int = 8       # URL-seen filter shards (hash(url) % S)
+    # URL-seen filter shards (hash(url) % S). None = min(8, cluster CPUs):
+    # the shards reserve no CPU, but each is a process the fetch tasks
+    # share cores with. Every crawl in a Ray session reuses one shard set
+    # per count (crawl._seen_shards).
+    num_seen_shards: int | None = None
     fetch_concurrency: int = 8     # FetchActor pool size (reference: 8 feeders,
                                    # web-crawler/values.yaml:45)
     fetch_batch_size: int = 4096

@@ -23,9 +23,11 @@ idempotently (each round dir is removed and rewritten atomically).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
+import threading
 import uuid
 from dataclasses import dataclass
 
@@ -231,21 +233,88 @@ def _bootstrap(ckpt: str, corpus_table: pa.Table, seed_url: str, depth: int,
         f.write("ok")
 
 
-def _make_seen_actors(cfg: CrawlConfig, expected_keys: int):
+def _seen_shard_count(cfg: CrawlConfig) -> int:
+    """``cfg.num_seen_shards``, else min(8, the cluster's CPUs)."""
     import ray
 
+    if cfg.num_seen_shards is not None:
+        return cfg.num_seen_shards
+    return max(1, min(8, int(ray.cluster_resources().get("CPU", 1))))
+
+
+def _seen_shard_kwargs(cfg: CrawlConfig, n: int, expected_keys: int) -> dict:
     backend = cfg.seen_backend
     if backend == "auto":
         backend = "sortedruns" if expected_keys > cfg.auto_backend_threshold else "set"
+    return dict(backend=backend, expected_keys=max(1000, expected_keys // n),
+                bits_per_key=cfg.bloom_bits_per_key)
+
+
+def _make_seen_actors(cfg: CrawlConfig, expected_keys: int):
+    """A fresh seen-shard set, owned (and killed) by the caller. The shards
+    reserve no CPU: they only answer RPCs, and any reservation leaves a
+    1-CPU cluster no whole CPU for the fetch stage."""
+    import ray
+
+    n = _seen_shard_count(cfg)
+    kw = _seen_shard_kwargs(cfg, n, expected_keys)
     Shard = ray.remote(SeenShardImpl)
-    return [
-        Shard.options(num_cpus=0.05).remote(
-            i, backend=backend,
-            expected_keys=max(1000, expected_keys // cfg.num_seen_shards),
-            bits_per_key=cfg.bloom_bits_per_key,
-        )
-        for i in range(cfg.num_seen_shards)
-    ]
+    return [Shard.options(num_cpus=0).remote(i, **kw) for i in range(n)]
+
+
+# One seen-shard set per (Ray session, shard count), shared by every crawl
+# in the session: starting shard processes was a crawl's largest fixed
+# cost. The actors are unnamed and not detached, so ray.shutdown() ends
+# them. A session is keyed by the driver's node id (a local restart gets a
+# new one but reuses job ids) and job id (a reconnect to the same cluster).
+_SEEN_POOL: dict = {}
+_SEEN_POOL_BUSY: set = set()
+_SEEN_POOL_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _seen_shards(cfg: CrawlConfig, expected_keys: int):
+    """Check out the session's seen shards, emptied for this crawl. While
+    they are checked out, a concurrent crawl() in this driver gets its own
+    set and kills it at the end. A crawl that raises leaves the pool as it
+    was for the next crawl's reset."""
+    import ray
+
+    ctx = ray.get_runtime_context()
+    session = (ctx.get_node_id(), ctx.get_job_id())
+    n = _seen_shard_count(cfg)
+    key = (session, n)
+    with _SEEN_POOL_LOCK:
+        for k in [k for k in _SEEN_POOL if k[0] != session]:
+            del _SEEN_POOL[k]  # that session ended, and its actors with it
+        pooled = key not in _SEEN_POOL_BUSY
+        if pooled:
+            _SEEN_POOL_BUSY.add(key)
+    if not pooled:
+        handles = _make_seen_actors(cfg, expected_keys)
+        try:
+            yield handles
+        finally:
+            for h in handles:
+                ray.kill(h, no_restart=True)
+        return
+    try:
+        handles = _SEEN_POOL.get(key)
+        if handles is not None:
+            kw = _seen_shard_kwargs(cfg, n, expected_keys)
+            try:
+                ray.get([h.reset.remote(**kw) for h in handles])
+            except ray.exceptions.RayActorError:
+                # a shard died since the last crawl: replace the whole set
+                for h in handles:
+                    ray.kill(h, no_restart=True)
+                handles = None
+        if handles is None:
+            handles = _SEEN_POOL[key] = _make_seen_actors(cfg, expected_keys)
+        yield handles
+    finally:
+        with _SEEN_POOL_LOCK:
+            _SEEN_POOL_BUSY.discard(key)
 
 
 _BCAST_CACHE: dict = {}
@@ -1129,15 +1198,11 @@ def crawl(
 
     _ph["corpus_boot_s"] = round(_time.perf_counter() - _t, 2)
     _t = _time.perf_counter()
-    seen = _make_seen_actors(cfg, expected_keys=expected_rows * 4)
-    _ph["actors_s"] = round(_time.perf_counter() - _t, 2)
-    _t = _time.perf_counter()
     if expected_rows > 50_000:
         # big-corpus crawls: pre-pay heavy imports + per-worker corpus index
         # in every worker before round 1 (workers persist across rounds)
         _warm_workers(corpus_ref)
     _ph["warm_s"] = round(_time.perf_counter() - _t, 2)
-    _t = _time.perf_counter()
 
     # restore seen state from all completed rounds
     last_done = 0
@@ -1158,59 +1223,64 @@ def crawl(
                     f"round {rr} of {ckpt_dir} has no ndx/ index shard")
     import pyarrow.dataset as pads
 
-    # Restore the committed set incrementally: per round, per parquet file,
-    # vectorized Arrow filter + hash — never a whole-history Python list on
-    # the driver. bulk_load calls for round r overlap with reading r+1
-    # (refs awaited lazily in a sliding window).
-    pending_refs: list = []
-    for rr in range(0, last_done + 1):
-        for f in _parquet_files([os.path.join(_round_dir(ckpt_dir, rr), "nodes")]):
-            t = pq.read_table(f, columns=["node_id", "node_type"])
-            # J1 matches only :URL nodes (job.rs:148)
-            t = t.filter(pa.compute.equal(t["node_type"], "URL"))
-            if t.num_rows == 0:
-                continue
-            hi, lo = hash128(t["node_id"].combine_chunks())
-            shard = (hi % np.uint64(len(seen))).astype(np.int64)
-            for s in np.unique(shard):
-                m = shard == s
-                pending_refs.append(seen[int(s)].bulk_load.remote(hi[m], lo[m]))
-            if len(pending_refs) > 4 * len(seen):
-                ready, pending_refs = pending_refs[: 2 * len(seen)], pending_refs[2 * len(seen):]
-                ray.get(ready)
-    if pending_refs:
-        ray.get(pending_refs)
-    _ph["restore_s"] = round(_time.perf_counter() - _t, 2)
+    _t = _time.perf_counter()
+    with _seen_shards(cfg, expected_keys=expected_rows * 4) as seen:
+        _ph["actors_s"] = round(_time.perf_counter() - _t, 2)
+        _t = _time.perf_counter()
 
-    cancelled = os.path.isdir(os.path.join(ckpt_dir, "cancel"))
-    r = last_done
-    fr_table: pa.Table | None = None  # in-memory handoff round→round
-    while not cancelled:
-        if fr_table is not None:
-            fsize = fr_table.num_rows
-        else:
-            fdir = os.path.join(_round_dir(ckpt_dir, r), "frontier")
-            fsize = (pads.dataset(fdir).count_rows()
-                     if os.path.isdir(fdir) else 0)
-        if fsize == 0 or r >= max_rounds:
-            break
-        _, fr_table = _run_round(ckpt_dir, r + 1, crawl_id, cfg, corpus_ref,
-                                 seen, seed_id=seed_id,
-                                 frontier_table=fr_table)
-        r += 1
-        if cancel_after_round is not None and r >= cancel_after_round:
-            _cancel(ckpt_dir, r, crawl_id)
-            cancelled = True
+        # Restore the committed set incrementally: per round, per parquet
+        # file, vectorized Arrow filter + hash — never a whole-history Python
+        # list on the driver. bulk_load calls for round r overlap with
+        # reading r+1 (refs awaited lazily in a sliding window).
+        pending_refs: list = []
+        for rr in range(0, last_done + 1):
+            for f in _parquet_files([os.path.join(_round_dir(ckpt_dir, rr),
+                                                  "nodes")]):
+                t = pq.read_table(f, columns=["node_id", "node_type"])
+                # J1 matches only :URL nodes (job.rs:148)
+                t = t.filter(pa.compute.equal(t["node_type"], "URL"))
+                if t.num_rows == 0:
+                    continue
+                hi, lo = hash128(t["node_id"].combine_chunks())
+                shard = (hi % np.uint64(len(seen))).astype(np.int64)
+                for s in np.unique(shard):
+                    m = shard == s
+                    pending_refs.append(
+                        seen[int(s)].bulk_load.remote(hi[m], lo[m]))
+                if len(pending_refs) > 4 * len(seen):
+                    ready = pending_refs[: 2 * len(seen)]
+                    pending_refs = pending_refs[2 * len(seen):]
+                    ray.get(ready)
+        if pending_refs:
+            ray.get(pending_refs)
+        _ph["restore_s"] = round(_time.perf_counter() - _t, 2)
+
+        cancelled = os.path.isdir(os.path.join(ckpt_dir, "cancel"))
+        r = last_done
+        fr_table: pa.Table | None = None  # in-memory handoff round→round
+        while not cancelled:
+            if fr_table is not None:
+                fsize = fr_table.num_rows
+            else:
+                fdir = os.path.join(_round_dir(ckpt_dir, r), "frontier")
+                fsize = (pads.dataset(fdir).count_rows()
+                         if os.path.isdir(fdir) else 0)
+            if fsize == 0 or r >= max_rounds:
+                break
+            _, fr_table = _run_round(ckpt_dir, r + 1, crawl_id, cfg,
+                                     corpus_ref, seen, seed_id=seed_id,
+                                     frontier_table=fr_table)
+            r += 1
+            if cancel_after_round is not None and r >= cancel_after_round:
+                _cancel(ckpt_dir, r, crawl_id)
+                cancelled = True
 
     _t = _time.perf_counter()
     _finalize(ckpt_dir, r, cancelled)
     _ph["finalize_s"] = round(_time.perf_counter() - _t, 2)
     with open(os.path.join(ckpt_dir, "phases.json"), "w") as f:
         json.dump(_ph, f)
-    # seen state is fully checkpointed (per-round deltas); the shard actors
-    # are per-crawl scratch — release their heap instead of leaking one
-    # actor set per crawl() call in long-lived drivers
-    for h in seen:
-        ray.kill(h, no_restart=True)
+    # the seen shards stay up for the session's next crawl, which resets
+    # them; their state is checkpointed per round, so resume never needs it
     return CrawlResult(crawl_id=crawl_id, ckpt_dir=ckpt_dir, rounds_run=r,
                        cancelled=cancelled)

@@ -56,6 +56,7 @@ from raycrawl.dedup import (
     segmented_jaccard,
     shingle_list_batch,
 )
+from raycrawl.errors import StateError
 
 NEARDUP_SCHEMA = pa.schema(
     [
@@ -361,7 +362,9 @@ def _iter_inter_slices(op, lo, csum, nz, new_rows_q, mp, total):
     [lo, hi) over the okey-sorted old band rows. Each slice maps its
     global pair indices back to (interval, offset) arithmetically, so a
     giant interval (one band hash matching millions of old rows) splits
-    naturally and nothing pair-shaped outlives its slice."""
+    naturally and nothing pair-shaped outlives its slice. Every old pid
+    in ``op``'s matched intervals has a row in ``mp`` (checked by the
+    caller), so its searchsorted is an exact match."""
     for p0 in range(0, total, _PAIR_CHUNK):
         idx = np.arange(p0, min(p0 + _PAIR_CHUNK, total), dtype=np.int64)
         itv = np.searchsorted(csum, idx, side="right") - 1
@@ -656,9 +659,21 @@ def probe_and_index_round(ckpt: str, r: int, parents: pa.Table, corpus_ref,
         osh = osh.filter(pa.array(keepm))
         opid = opid[keepm]
         oflat, ooffs = _list_arrays(osh["shingles"])
+        # every candidate needs its own map row and shingle row: the
+        # searchsorted lookups below (and in _iter_inter_slices) would
+        # otherwise land on a neighbour's row and verify the wrong page
+        missing = cand_pids[~(np.isin(cand_pids, mp)
+                              & np.isin(cand_pids, opid))]
+        if len(missing):
+            raise StateError(
+                f"near-dup index of {ckpt} has no map or shingle row for "
+                f"{len(missing)} candidate page(s) of round {r}'s probe "
+                f"(first pid {int(missing[0])}); rebuild the rounds that "
+                f"indexed them")
         oord = np.argsort(opid, kind="stable")
+        # clamped only for non-candidate map rows, which are never read
         m_shrow = oord[np.minimum(
-            np.searchsorted(opid[oord], mp), max(len(opid) - 1, 0))]
+            np.searchsorted(opid[oord], mp), len(opid) - 1)]
         # stream (old map row, new round row) slices through the fused
         # prefilter+verify+reduce — the expansion exists only while a
         # slice is in flight; band-duplicate pairs re-verify and the

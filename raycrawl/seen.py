@@ -294,7 +294,8 @@ def make_backend(kind: str, expected_keys: int = 1_000_000, bits_per_key: int = 
 class SeenShardImpl:
     """One shard of the crawl-scoped URL-seen set + the J2 MERGE role (plain
     class; wrapped in a Ray actor by the driver via
-    ``ray.remote(SeenShardImpl)``).
+    ``ray.remote(SeenShardImpl)`` and emptied with ``reset`` before each
+    crawl that reuses it).
 
     Besides membership, the shard is the **node-dedup authority** for its
     key range: during a round, fetch tasks ``offer`` candidate child rows
@@ -334,6 +335,14 @@ class SeenShardImpl:
         # edge buffer is append-only; _finalize assumes non-seed edges are
         # globally distinct). One small tuple per offer slice per round.
         self._offer_keys: set = set()
+
+    def reset(self, backend: str, expected_keys: int, bits_per_key: int) -> None:
+        """Empty the shard for a new crawl (the driver reuses one shard set
+        per Ray session): close any edge partition a failed crawl left
+        open, then start over with a fresh committed set."""
+        if self._writer is not None:
+            self._writer.close()
+        self.__init__(self.shard_id, backend, expected_keys, bits_per_key)
 
     def contains(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """Membership against the committed (round-start) snapshot only."""

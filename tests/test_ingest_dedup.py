@@ -249,3 +249,100 @@ def test_forced_multiblock_shingle_order(nd_crawl, tmp_path, monkeypatch):
     a = crawl_neardup(nd_crawl).to_pandas()
     b = crawl_neardup(ck2).to_pandas()
     pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
+
+
+@pytest.mark.parametrize("table", ["sh", "map"])
+def test_missing_index_row_raises(nd_crawl, tmp_path, table):
+    """A cross-round candidate whose shingle (or map) row is gone from the
+    persisted index fails the probe with a typed error instead of being
+    verified against a neighbouring row's page."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+
+    from raycrawl.crawl import _round_dir
+    from raycrawl.errors import StateError
+    from raycrawl.ingest_dedup import _pids, crawl_neardup
+
+    nodes = pads.dataset(os.path.join(nd_crawl, "final", "nodes")).to_table(
+        columns=["node_id", "round", "attempts", "node_type"]).to_pandas()
+    nodes = nodes[nodes.node_type == "URL"]
+    # a node made in round q is fetched and probed in round q + 1
+    probe_round = dict(zip(nodes.node_id,
+                           nodes["round"] + nodes.attempts + 1))
+    r, target = max((probe_round[a.node_id], a.near_dup_of)
+                    for a in crawl_neardup(nd_crawl).to_pandas().itertuples()
+                    if probe_round[a.node_id] > probe_round[a.near_dup_of])
+    pid = int(_pids(pa.array([target]))[0])
+
+    ck2 = str(tmp_path / "nd_hole")
+    shutil.copytree(nd_crawl, ck2)
+    dropped = 0
+    for f in glob.glob(os.path.join(ck2, "round=*", "ndx", table, "*",
+                                    "*.parquet")):
+        t = pq.read_table(f)
+        keep = pa.compute.not_equal(t["pid"], pid)
+        dropped += t.num_rows - pa.compute.sum(keep).as_py()
+        pq.write_table(t.filter(keep), f)
+    assert dropped == 1
+    rr = r
+    while os.path.isdir(_round_dir(ck2, rr)):
+        shutil.rmtree(_round_dir(ck2, rr))
+        rr += 1
+    shutil.rmtree(os.path.join(ck2, "final"))
+    with pytest.raises(StateError, match="no map or shingle row"):
+        _run(ck2)
+
+
+def test_recall_tool_counts_only_linked_pairs(ray_session, monkeypatch,
+                                              capsys):
+    """tools/neardup_recall.py scores a planted pair as recalled only when
+    an assignment links its two sides: a planted page assigned to an
+    unrelated page is a miss."""
+    import importlib.util
+    import json
+
+    import numpy as np
+    import pyarrow as pa
+
+    from raycrawl import crawl as crawl_mod
+    from raycrawl import ingest_dedup
+    from raycrawl.corpus import fast_mirror_flags, host_name, host_proto
+
+    n_hosts, seed, frac = 5000, 3, 0.01
+    planted = np.flatnonzero(fast_mirror_flags(seed, 0, n_hosts, frac))
+    a, b = (int(i) for i in planted[:2])
+
+    def nid(i):
+        return (host_proto(i) + "://" + host_name(i)).upper()
+
+    fetched = [nid(a), nid(a - 1), nid(b), nid(b - 1)]
+    nodes = pd.DataFrame({"node_id": fetched, "node_type": "URL",
+                          "status": "COMPLETED", "depth": 1,
+                          "requested_depth": 3})
+
+    class _Nodes:
+        def select_columns(self, cols):
+            return self
+
+        def to_pandas(self):
+            return nodes
+
+    # pair a linked (either direction counts); pair b's planted page is
+    # assigned to a page outside its pair
+    nd = pa.table({"node_id": [nid(a - 1), nid(b)],
+                   "near_dup_of": [nid(a), nid(a)],
+                   "jaccard": [1.0, 1.0]})
+    monkeypatch.setattr(crawl_mod, "read_nodes", lambda ckpt: _Nodes())
+    monkeypatch.setattr(ingest_dedup, "crawl_neardup", lambda ckpt: nd)
+    spec = importlib.util.spec_from_file_location(
+        "neardup_recall", os.path.join(os.path.dirname(__file__), "..",
+                                       "tools", "neardup_recall.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["--ckpt", "unused", "--n-hosts", str(n_hosts),
+                      "--seed", str(seed), "--mirror-frac", str(frac)]) == 0
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert out["both_sides_fetched"] == 2
+    assert out["recalled"] == 1 and out["recall"] == 0.5

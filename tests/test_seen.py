@@ -200,3 +200,34 @@ def test_shard_offer_replay_is_dropped(tmp_path):
     shard.offer(t2)
     stats = shard.commit_round()
     assert stats["edges_written"] + len(stats["seed_rows"]) == 1
+
+
+def test_shard_reset_empties_state_and_closes_writer(tmp_path):
+    """reset() readies a reused shard for a new crawl: the committed set
+    is empty (under the new backend), a half-written edge partition left
+    by a failed crawl is closed into a readable file, and round state is
+    gone."""
+    import pyarrow.parquet as pq
+
+    from raycrawl.kernels import hash128
+
+    shard = SeenShardImpl(3, backend="set")
+    hi, lo = hash128(["HTTPS://OLD.COM"])
+    shard.bulk_load(hi, lo)
+    (tmp_path / "nodes").mkdir()
+    (tmp_path / "edges").mkdir()
+    shard.begin_round(str(tmp_path / "nodes"), str(tmp_path / "edges"), 1,
+                      "HTTPS://SEED")
+    shard.offer(_offer_table([
+        dict(name="A.COM", node_id="HTTPS://A.COM", depth=2, parent_id="P1"),
+    ]))
+    shard._flush_edges(force=True)  # a crawl that died mid-round
+    assert shard._writer is not None
+
+    shard.reset("sortedruns", 1000, 12)
+    assert shard.shard_id == 3
+    assert shard._writer is None and not shard._winners
+    assert shard.size() == 0 and not shard.contains(hi, lo).any()
+    assert type(shard._committed).__name__ == "_SortedRunsBackend"
+    edges = pq.read_table(tmp_path / "edges" / "shard-003.parquet")
+    assert edges.num_rows == 1

@@ -4,7 +4,8 @@ Recomputes the planted-mirror ground truth of a ``generate_corpus_fast``
 corpus from (seed, i) alone (``corpus.fast_mirror_flags``) and scores a
 finished neardup crawl checkpoint against it: recall over every planted
 pair whose BOTH sides were fetched (COMPLETED non-leaf URL nodes — the
-probeable set), and the count of assignments not involving any planted
+probeable set), where a pair counts only if an assignment links its two
+sides, and the count of assignments not involving any planted
 page (false-assignment surface; exact-jaccard acceptance makes real
 false positives impossible, so nonzero here means organic dups or a
 bug). Reproduces the BASELINE.md bench_hv datapoint:
@@ -59,8 +60,12 @@ def main(argv=None) -> int:
 
     both = [int(i) for i in planted
             if nid(i) in fset and nid(i - 1) in fset]
-    hit = set(nd.node_id)
-    recalled = sum(1 for i in both if nid(i) in hit or nid(i - 1) in hit)
+    # a pair counts only when an assignment links its two sides, in
+    # either direction
+    links = set(zip(nd.node_id, nd.near_dup_of))
+    recalled = sum(1 for i in both
+                   if (nid(i), nid(i - 1)) in links
+                   or (nid(i - 1), nid(i)) in links)
     mir = ({nid(int(i)) for i in planted}
            | {nid(int(i) - 1) for i in planted})
     non_planted = sum(1 for r in nd.itertuples()
