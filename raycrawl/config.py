@@ -54,11 +54,6 @@ class CrawlConfig:
     # design point) or "cuckoo" (same runs behind a cuckoo-filter front:
     # ~2^-13 FP at ~20 bits/key, deletion-capable, safe-degrade on
     # overflow).  "auto" picks sortedruns above auto_backend_threshold.
-    # Rounds with ≤ this many frontier rows run the same stage function
-    # driver-side (no Dataset execution): tiny BFS rounds and retry tails
-    # are pure fixed overhead as distributed jobs.
-    small_round_threshold: int = 2048
-
     seen_backend: str = "auto"
     auto_backend_threshold: int = 2_000_000
     bloom_bits_per_key: int = 12

@@ -1,9 +1,11 @@
 """BFS crawl driver: depth loop, round barrier, checkpoint/resume, cancel.
 
 The reference's control plane is the Neo4j job queue polled by 8 feeder
-processes (feeder/src/main.rs:64-148). Here a whole BFS level is one lazy
-Ray-Data pipeline per round (SURVEY §3.4); the only global synchronization
-is the per-round driver barrier at which SeenShard deltas commit.
+processes (feeder/src/main.rs:64-148). Here a whole BFS level is one
+round: the driver splits the in-memory frontier into host-keyed slices and
+runs each as one plain Ray task (SURVEY §3.4); the only global
+synchronization is the per-round driver barrier at which SeenShard deltas
+commit.
 
 Checkpoint layout (resumable, per-partition lineage):
 
@@ -24,6 +26,7 @@ idempotently (each round dir is removed and rewritten atomically).
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import shutil
@@ -75,21 +78,6 @@ def _write_table(table: pa.Table, path: str) -> None:
     pq.write_table(table, os.path.join(path, "part-driver.parquet"))
 
 
-def _write_table_chunked(table: pa.Table, path: str, rows_per_file: int = 4096,
-                         max_files: int = 64) -> None:
-    """Driver-side write split into several files so the NEXT round's
-    read_parquet gets enough blocks to parallelize (one file = one task)."""
-    os.makedirs(path, exist_ok=True)
-    n = table.num_rows
-    if n == 0:
-        pq.write_table(table, os.path.join(path, "part-000.parquet"))
-        return
-    per = max(rows_per_file, (n + max_files - 1) // max_files)
-    for i, off in enumerate(range(0, n, per)):
-        pq.write_table(table.slice(off, per),
-                       os.path.join(path, f"part-{i:03d}.parquet"))
-
-
 def cast_table(t: pa.Table, schema: pa.Schema) -> pa.Table:
     """Project + cast a batch to exactly `schema` (pandas round-trips widen
     int32→int64 etc.; parquet dirs must have one uniform schema)."""
@@ -100,21 +88,6 @@ def cast_table(t: pa.Table, schema: pa.Schema) -> pa.Table:
         else:
             cols[f.name] = pa.nulls(t.num_rows, f.type)
     return pa.table(cols, schema=schema)
-
-
-def _write_ds(ds, path: str, schema: pa.Schema) -> None:
-    """Dataset → parquet dir with a uniform schema; guarantee ≥1 readable
-    file even when empty."""
-    ds.map_batches(lambda t: cast_table(t, schema), batch_format="pyarrow").write_parquet(path)
-    os.makedirs(path, exist_ok=True)
-    if not any(f.endswith(".parquet") for f in os.listdir(path)):
-        pq.write_table(schema.empty_table(), os.path.join(path, "part-empty.parquet"))
-
-
-def _read(path: str):
-    import ray.data as rd
-
-    return rd.read_parquet(path)
 
 
 def _parquet_files(dirs: list[str]) -> list[str]:
@@ -334,31 +307,6 @@ def _bcast_get(ref):
     return v
 
 
-def _warm_workers(corpus_ref) -> None:
-    """Warm every Ray worker process ONCE per crawl: heavy imports + the
-    per-worker corpus index build happen here instead of inside the first
-    big round (worker processes persist across Dataset executions)."""
-    import ray
-    import ray.data as rd
-
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-
-    def warm(batch):
-        from raycrawl.fetch import PartitionedCorpus, get_corpus_index
-
-        if isinstance(corpus_ref, PartitionedCorpus):
-            corpus_ref.slot(0)  # imports + one partition into the LRU
-        else:
-            get_corpus_index(corpus_ref)
-        return batch
-
-    rd.range(ncpu * 8, override_num_blocks=ncpu * 8).map_batches(
-        warm, batch_size=1, num_cpus=1
-    ).materialize()
-
-
-
-
 def _status_counts(col) -> dict[str, int]:
     """Vectorized status histogram of an Arrow string column."""
     vc = pa.compute.value_counts(col)
@@ -408,57 +356,128 @@ def _finish_barrier(rdir: str, seen_handles, nodes_path: str, edges_path: str):
     return stats
 
 
-def _run_round_driver_side(ckpt, r, crawl_id, cfg, corpus_ref, seen_handles,
-                           prev, rdir, seed_id: str,
-                           frontier_table: pa.Table | None = None):
-    """Small-round fast path: identical semantics (same stage function, same
-    shard actors, same artifacts) executed in the driver process — a round
-    with a few hundred frontier rows costs more in executor startup than in
-    work. Bounded: children ≤ frontier × page fan-out."""
-    import functools
+def _frontier_slices(frontier: pa.Table, batch_size: int, corpus_ref,
+                     ncpu: int) -> list[pa.Table]:
+    """Split a round's frontier into k = max(1, min(4 × CPUs, ⌈n /
+    batch_size⌉)) slices, one fetch task each. Row → slice
+    ``host_partition_ids(name, P) % k``, P = the corpus partition count
+    (else k): every row of one host lands in one task (the per-host
+    politeness budget), and with a partitioned corpus a slice holds whole
+    corpus partitions, partition-major, so its fetch loop pages each one
+    in once. Returns k tables; some may be empty."""
+    from raycrawl.fetch import PartitionedCorpus, host_partition_ids
+
+    n = frontier.num_rows
+    k = max(1, min(4 * ncpu, -(-n // batch_size)))
+    if k == 1:
+        return [frontier]
+    n_parts = (corpus_ref.n_parts if isinstance(corpus_ref, PartitionedCorpus)
+               else k)
+    part = host_partition_ids(frontier["name"], n_parts)
+    sid = part % k
+    order = np.lexsort((part, sid))
+    frontier = frontier.take(pa.array(order))
+    bounds = np.searchsorted(sid[order], np.arange(k + 1))
+    return [frontier.slice(int(a), int(b - a))
+            for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _fetch_slice(path: str, batch: pa.Table, batch_size: int,
+                 fetch_kw: dict) -> pa.Table:
+    """One fetch task: expand ``batch`` in ``batch_size`` chunks, write
+    its round_out part (parent lifecycle rows) to ``path``, and return the
+    columns the driver needs: the frontier columns, node_id and status."""
+    ro = pa.concat_tables([
+        fetch_expand_batch(batch.slice(off, batch_size), **fetch_kw)
+        for off in range(0, batch.num_rows, batch_size)])
+    pq.write_table(ro, path)
+    return ro.select(FRONTIER_SCHEMA.names + ["node_id", "status"])
+
+
+@functools.lru_cache(maxsize=1)
+def _as_task(fn):
+    """``fn`` as a Ray task without retries, made once: a remote function
+    made per round would be exported to the GCS again, and loaded again
+    by every worker, each round of the session."""
+    import ray
+
+    return ray.remote(max_retries=0)(fn)
+
+
+def _run_round(ckpt: str, r: int, crawl_id: str, cfg: CrawlConfig,
+               corpus_ref, seen_handles, seed_id: str,
+               frontier_table: pa.Table | None = None):
+    """Execute BFS round r from round r-1's frontier (``frontier_table``
+    in memory, else read back from the checkpoint on resume). Idempotent:
+    the round dir is rebuilt from scratch.
+
+      fetch: the frontier splits into host-keyed slices
+         (``_frontier_slices``), one plain Ray task each; a task runs
+         fetch_expand, ships child candidates to the SeenShard actors (the
+         RPC is the shuffle), writes its round_out part (parent lifecycle
+         rows) and returns only the parents' frontier columns + status;
+      barrier: shards resolve J2 winners and write BOTH the nodes delta
+         and the Lead-edge parquet partitions themselves; seed-src edge
+         rows come back as a tiny sidecar;
+      frontier_{r+1} = new PENDING nodes ∪ PENDING parents (M11
+         re-enqueue), built on the driver and written as one file.
+    Parent status updates ARE round_out; edges live in the shard-written
+    per-round partitions (composed at finalize)."""
     import time as _time
 
     import pyarrow.dataset as pads
     import ray
 
     t_enter = _time.perf_counter()
-    frontier = (frontier_table if frontier_table is not None
-                else pads.dataset(_parquet_files([prev])).to_table())
-    from raycrawl.fetch import PartitionedCorpus, host_partition_ids
-
-    if isinstance(corpus_ref, PartitionedCorpus) and frontier.num_rows:
-        # partition-major order → each batch touches ~1 corpus partition
-        parts = host_partition_ids(frontier["name"], corpus_ref.n_parts)
-        frontier = frontier.take(pa.array(np.argsort(parts, kind="stable")))
+    rdir = _round_dir(ckpt, r)
+    shutil.rmtree(rdir, ignore_errors=True)
+    os.makedirs(rdir, exist_ok=True)
+    frontier = frontier_table
+    if frontier is None:
+        prev = os.path.join(_round_dir(ckpt, r - 1), "frontier")
+        frontier = pads.dataset(_parquet_files([prev])).to_table()
+    ncpu = int(ray.cluster_resources().get("CPU", 1))
+    slices = _frontier_slices(frontier, cfg.fetch_batch_size, corpus_ref, ncpu)
     nodes_path, edges_path = _begin_round(rdir, r, seen_handles, seed_id)
-    fn = functools.partial(
-        fetch_expand_batch, corpus_ref=corpus_ref, seen_handles=seen_handles,
+    ro_path = os.path.join(rdir, "round_out")
+
+    # offer() RPCs are side-effecting, so task retries are OFF (a silently
+    # replayed task would double its edge rows). If any task fails, the
+    # WHOLE round re-runs once, but only after every task of the failed
+    # attempt has finished: a straggler still offering after the reset
+    # would land its edges twice.
+    fetch = _as_task(_fetch_slice)
+    fetch_kw = dict(
+        corpus_ref=corpus_ref, seen_handles=seen_handles,
         max_attempts=cfg.max_attempts, max_dns_depth=cfg.max_dns_depth,
-        round_no=r, politeness_delay_ms=0.0,
+        round_no=r, politeness_delay_ms=cfg.politeness_delay_ms,
         respect_robots=cfg.respect_robots, enrich=cfg.enrich,
     )
+
+    def fetch_stage() -> list[pa.Table]:
+        os.makedirs(ro_path, exist_ok=True)
+        refs = [fetch.remote(os.path.join(ro_path, f"part-{i:05d}.parquet"),
+                             s, cfg.fetch_batch_size, fetch_kw)
+                for i, s in enumerate(slices) if s.num_rows]
+        ray.wait(refs, num_returns=len(refs))
+        return ray.get(refs)
+
     t0 = _time.perf_counter()
-    outs = []
-    for off in range(0, frontier.num_rows, cfg.fetch_batch_size):
-        outs.append(fn(frontier.slice(off, cfg.fetch_batch_size)))
-    ro = (
-        pa.concat_tables([cast_table(t, ROUND_OUT_SCHEMA) for t in outs])
-        if outs
-        else ROUND_OUT_SCHEMA.empty_table()
-    )
-    ro_path = os.path.join(rdir, "round_out")
-    _write_table(ro, ro_path)
+    try:
+        outs = fetch_stage()
+    except ray.exceptions.RayError:
+        shutil.rmtree(ro_path, ignore_errors=True)
+        _begin_round(rdir, r, seen_handles, seed_id)  # reset shard round state
+        outs = fetch_stage()
+    parents = pa.concat_tables(outs)
     t_neardup = 0.0
     if cfg.neardup_threshold is not None:
         from raycrawl.ingest_dedup import probe_and_index_round
 
         t_nd0 = _time.perf_counter()
-        pm = pa.compute.and_(
-            pa.compute.equal(ro["row_type"], "parent"),
-            pa.compute.equal(ro["status"], "COMPLETED"))
-        probe_and_index_round(
-            ckpt, r, ro.filter(pm).select(["node_id", "name", "http_type"]),
-            corpus_ref, cfg.neardup_threshold)
+        done = parents.filter(pa.compute.equal(parents["status"], "COMPLETED"))
+        probe_and_index_round(ckpt, r, done.select(["node_id", "name", "http_type"]),
+                              corpus_ref, cfg.neardup_threshold)
         t_neardup = _time.perf_counter() - t_nd0
     t_fetch = _time.perf_counter() - t0 - t_neardup
 
@@ -466,26 +485,15 @@ def _run_round_driver_side(ckpt, r, crawl_id, cfg, corpus_ref, seen_handles,
     t_barrier = _time.perf_counter() - t0 - t_fetch - t_neardup
 
     nodes = pads.dataset(_parquet_files([nodes_path])).to_table(
-        columns=FRONTIER_SCHEMA.names + ["status"]
-    )
-    f_new = nodes.filter(pa.compute.equal(nodes["status"], "PENDING")).select(
-        FRONTIER_SCHEMA.names
-    )
-    pmask = pa.compute.and_(
-        pa.compute.equal(ro["row_type"], "parent"),
-        pa.compute.equal(ro["status"], "PENDING"),
-    )
-    f_retry = ro.filter(pmask).select(FRONTIER_SCHEMA.names)
-    next_frontier = cast_table(
-        pa.concat_tables([cast_table(f_new, FRONTIER_SCHEMA),
-                          cast_table(f_retry, FRONTIER_SCHEMA)]),
-        FRONTIER_SCHEMA,
-    )
-    _write_table_chunked(next_frontier, os.path.join(rdir, "frontier"))
+        columns=FRONTIER_SCHEMA.names + ["status"])
+    next_frontier = pa.concat_tables([
+        cast_table(t.filter(pa.compute.equal(t["status"], "PENDING")),
+                   FRONTIER_SCHEMA)
+        for t in (nodes, parents)
+    ])
+    _write_table(next_frontier, os.path.join(rdir, "frontier"))
 
-    pstat = _status_counts(
-        ro.filter(pa.compute.equal(ro["row_type"], "parent"))["status"]
-    )
+    pstat = _status_counts(parents["status"])
     counters = dict(
         round=r,
         frontier_size=frontier.num_rows,
@@ -497,258 +505,6 @@ def _run_round_driver_side(ckpt, r, crawl_id, cfg, corpus_ref, seen_handles,
                           + sum(len(s["seed_rows"]) for s in stats)),
         seen_size=int(sum(s["seen_size"] for s in stats)),
         t_setup_s=round(t0 - t_enter, 3),
-        t_fetch_s=round(t_fetch, 3),
-        t_neardup_s=round(t_neardup, 3),
-        t_barrier_s=round(t_barrier, 3),
-        t_frontier_s=round(_time.perf_counter() - t0 - t_fetch - t_neardup
-                           - t_barrier, 3),
-    )
-    with open(os.path.join(rdir, "counters.json"), "w") as f:
-        json.dump(counters, f)
-    with open(os.path.join(rdir, "_DONE"), "w") as f:
-        f.write("ok")
-    return counters, next_frontier
-
-
-def _run_round(ckpt: str, r: int, crawl_id: str, cfg: CrawlConfig,
-               corpus_ref, seen_handles, seed_id: str,
-               frontier_table: pa.Table | None = None):
-    """Execute BFS round r from round r-1's frontier. Idempotent: the round
-    dir is rebuilt from scratch.
-
-    One Dataset execution per round:
-      P1 frontier → fetch_expand → round_out parquet (parent lifecycle rows
-         only); child candidates ship to the SeenShard actors (the RPC is
-         the shuffle);
-      barrier (async with the driver's retry-set computation): shards
-         resolve J2 winners and write BOTH the nodes-delta and the
-         Lead-edge parquet partitions themselves (distributed write, no
-         driver funnel); seed-src edge rows come back as a tiny sidecar;
-      frontier_{r+1} = new PENDING nodes ∪ retry parents — assembled on
-         the driver (chunk-written for downstream parallelism) while the
-         delta is modest, else as a Dataset execution.
-    Parent status updates ARE round_out; edges live in the shard-written
-    per-round partitions (manifest-composed at finalize)."""
-    import functools
-    import time as _time
-
-    import ray
-
-    t_enter = _time.perf_counter()
-    prev = os.path.join(_round_dir(ckpt, r - 1), "frontier")
-    rdir = _round_dir(ckpt, r)
-    shutil.rmtree(rdir, ignore_errors=True)
-    os.makedirs(rdir, exist_ok=True)
-
-    import pyarrow.dataset as pads0
-
-    n_front = (frontier_table.num_rows if frontier_table is not None
-               else pads0.dataset(_parquet_files([prev])).count_rows())
-    if n_front <= cfg.small_round_threshold and cfg.politeness_delay_ms == 0:
-        return _run_round_driver_side(ckpt, r, crawl_id, cfg, corpus_ref,
-                                      seen_handles, prev, rdir, seed_id,
-                                      frontier_table=frontier_table)
-
-    if frontier_table is not None and cfg.politeness_delay_ms == 0:
-        # in-memory handoff from the previous round: skip the checkpoint
-        # read entirely (the parquet copy exists for durability/resume only)
-        import ray
-        import ray.data as rd
-
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        n_blocks = max(1, min(4 * ncpu,
-                              (n_front + cfg.fetch_batch_size - 1)
-                              // cfg.fetch_batch_size))
-        per = (n_front + n_blocks - 1) // n_blocks
-        frontier = rd.from_arrow(
-            [frontier_table.slice(off, per)
-             for off in range(0, n_front, per)]
-        )
-    else:
-        frontier = _read(prev)
-
-    from raycrawl.fetch import PartitionedCorpus
-
-    if isinstance(corpus_ref, PartitionedCorpus) and cfg.politeness_delay_ms == 0:
-        # partitioned corpus: co-locate frontier rows by corpus partition so
-        # a fetch task pages in ~1 partition instead of thrashing the LRU.
-        # A range exchange (sort on the partition id) gives the same
-        # co-location as a hash exchange without requiring the global
-        # HASH_SHUFFLE strategy, and partition-major row order inside each
-        # block means the fetch loop's LRU sees each partition exactly once.
-        n_parts = corpus_ref.n_parts
-
-        def add_cpart(t: pa.Table) -> pa.Table:
-            from raycrawl.fetch import host_partition_ids
-
-            return t.append_column(
-                "cpart", pa.array(host_partition_ids(t["name"], n_parts), pa.int64())
-            )
-
-        frontier = (
-            frontier.map_batches(add_cpart, batch_format="pyarrow")
-            .sort("cpart")
-            .map_batches(lambda t: t.select(FRONTIER_SCHEMA.names),
-                         batch_format="pyarrow")
-        )
-    if cfg.politeness_delay_ms > 0:
-        # host-partition the frontier so one host lands in exactly ONE fetch
-        # task (global per-host budget; priority order inside fetch_expand):
-        # vectorized Arrow host projection + a range exchange on host — no
-        # pandas conversion, no per-row Python .map(); sort's range
-        # partitioning co-locates equal hosts just like a hash exchange.
-        import pyarrow.compute as pc_
-
-        def add_host(t: pa.Table) -> pa.Table:
-            host = pc_.list_element(
-                pc_.split_pattern(t["name"], ":", max_splits=1), 0
-            )
-            return t.append_column("host", host)
-
-        frontier = (
-            frontier.map_batches(add_host, batch_format="pyarrow")
-            .sort("host")
-            .map_batches(lambda t: t.select(FRONTIER_SCHEMA.names),
-                         batch_format="pyarrow")
-        )
-
-    nodes_path, edges_path = _begin_round(rdir, r, seen_handles, seed_id)
-
-    # P1: fused fetch+extract+J1+normalize+DNS+lifecycle → round_out delta.
-    # offer() RPCs are side-effecting, so Ray-level task retries are OFF for
-    # this stage (a silently replayed task would double its edge rows); on
-    # any task failure the WHOLE round re-runs once — begin_round resets all
-    # per-round shard state, so the rebuild is exact.
-    def _execute_fetch_stage():
-        round_out = frontier.map_batches(
-            functools.partial(
-                fetch_expand_batch,
-                corpus_ref=corpus_ref,
-                seen_handles=seen_handles,
-                max_attempts=cfg.max_attempts,
-                max_dns_depth=cfg.max_dns_depth,
-                round_no=r,
-                politeness_delay_ms=cfg.politeness_delay_ms,
-                respect_robots=cfg.respect_robots,
-                enrich=cfg.enrich,
-            ),
-            batch_format="pyarrow",
-            batch_size=cfg.fetch_batch_size,
-            max_retries=0,
-        )
-        _write_ds(round_out, ro_path, ROUND_OUT_SCHEMA)
-
-    t0 = _time.perf_counter()
-    t_setup = t0 - t_enter  # frontier prep + begin_round RPCs (untimed before)
-    ro_path = os.path.join(rdir, "round_out")
-    try:
-        _execute_fetch_stage()
-    except Exception:
-        shutil.rmtree(ro_path, ignore_errors=True)
-        _begin_round(rdir, r, seen_handles, seed_id)  # reset shard round state
-        _execute_fetch_stage()
-    t_neardup = 0.0
-    if cfg.neardup_threshold is not None:
-        from raycrawl.ingest_dedup import probe_and_index_round
-
-        import pyarrow.dataset as _pads
-
-        t_nd0 = _time.perf_counter()
-        ro_nd = _pads.dataset(_parquet_files([ro_path])).to_table(
-            columns=["row_type", "status", "node_id", "name", "http_type"])
-        pm = pa.compute.and_(
-            pa.compute.equal(ro_nd["row_type"], "parent"),
-            pa.compute.equal(ro_nd["status"], "COMPLETED"))
-        probe_and_index_round(
-            ckpt, r,
-            ro_nd.filter(pm).select(["node_id", "name", "http_type"]),
-            corpus_ref, cfg.neardup_threshold)
-        t_neardup = _time.perf_counter() - t_nd0
-    t_fetch = _time.perf_counter() - t0 - t_neardup
-
-    # barrier (async): shards close edge partitions + resolve winners while
-    # the driver computes the retry set from the parents just written
-    import ray
-
-    commit_refs = [h.commit_round.remote() for h in seen_handles]
-
-    import pyarrow.dataset as pads
-
-    ro_t = pads.dataset(_parquet_files([ro_path])).to_table(
-        columns=FRONTIER_SCHEMA.names + ["status"]
-    )
-    pstat = _status_counts(ro_t["status"])
-    f_retry_t = cast_table(
-        ro_t.filter(pa.compute.equal(ro_t["status"], "PENDING")).select(
-            FRONTIER_SCHEMA.names
-        ),
-        FRONTIER_SCHEMA,
-    )
-
-    stats = ray.get(commit_refs)
-    t_barrier = _time.perf_counter() - t0 - t_fetch - t_neardup
-    for path, schema in ((nodes_path, NODES_SCHEMA), (edges_path, EDGES_SCHEMA)):
-        if not any(f.endswith(".parquet") for f in os.listdir(path)):
-            pq.write_table(schema.empty_table(),
-                           os.path.join(path, "part-empty.parquet"))
-    seed_rows = [row for s in stats for row in s["seed_rows"]]
-    if seed_rows:
-        _write_table(pa.Table.from_pylist(seed_rows, schema=EDGES_SCHEMA),
-                     os.path.join(rdir, "seed_edges"))
-
-    # next frontier = new PENDING nodes ∪ retry parents (M11 re-enqueue);
-    # assembled on the driver (chunk-written) while the delta is modest,
-    # else as a Dataset execution
-    n_new = int(sum(s["new_nodes"] for s in stats))
-    next_frontier = None
-    if n_new <= FRONTIER_DRIVER_GATE:
-        nt = pads.dataset(_parquet_files([nodes_path])).to_table(
-            columns=FRONTIER_SCHEMA.names + ["status"]
-        )
-        f_new_t = cast_table(
-            nt.filter(pa.compute.equal(nt["status"], "PENDING")).select(
-                FRONTIER_SCHEMA.names
-            ),
-            FRONTIER_SCHEMA,
-        )
-        next_frontier = pa.concat_tables([f_new_t, f_retry_t])
-        _write_table_chunked(next_frontier, os.path.join(rdir, "frontier"))
-    else:
-        import ray.data as rd
-
-        fcols = FRONTIER_SCHEMA.names
-        f_new = rd.read_parquet(
-            _parquet_files([nodes_path]), columns=fcols + ["status"]
-        ).map_batches(
-            lambda t: t.filter(pa.compute.equal(t["status"], "PENDING")).select(fcols),
-            batch_format="pyarrow",
-        )
-        f_retry = rd.read_parquet(
-            _parquet_files([ro_path]), columns=fcols + ["row_type", "status"]
-        ).map_batches(
-            lambda t: t.filter(
-                pa.compute.and_(
-                    pa.compute.equal(t["row_type"], "parent"),
-                    pa.compute.equal(t["status"], "PENDING"),
-                )
-            ).select(fcols),
-            batch_format="pyarrow",
-        )
-        _write_ds(f_new.union(f_retry), os.path.join(rdir, "frontier"),
-                  FRONTIER_SCHEMA)
-
-    # counters (pstat/stats computed above)
-    counters = dict(
-        round=r,
-        frontier_size=n_front,
-        parents_completed=pstat.get("COMPLETED", 0),
-        parents_failed=pstat.get("FAILED", 0),
-        retries_requeued=pstat.get("PENDING", 0),
-        nodes_created=int(sum(s["new_nodes"] for s in stats)),
-        edges_created=int(sum(s["edges_written"] for s in stats)
-                          + sum(len(s["seed_rows"]) for s in stats)),
-        seen_size=int(sum(s["seen_size"] for s in stats)),
-        t_setup_s=round(t_setup, 3),
         t_fetch_s=round(t_fetch, 3),
         t_neardup_s=round(t_neardup, 3),
         t_barrier_s=round(t_barrier, 3),
@@ -779,11 +535,6 @@ UPDATE_DRIVER_GATE = 5_000_000
 NODES_REWRITE_GATE = 1_000_000
 EDGES_REWRITE_GATE = 1_000_000
 
-# new-node volume above which the next-round frontier is assembled as a
-# streaming Dataset execution instead of a driver-side Arrow concat
-FRONTIER_DRIVER_GATE = 6_000_000
-
-
 
 def read_edges(ckpt_dir: str):
     """Final edge Dataset for a crawl — compacted parquet when small, or the
@@ -804,14 +555,12 @@ def read_edges(ckpt_dir: str):
 
 
 def _upd_partial_file(f: str):
-    """One round_out file → (hi, lo, round, status_code, attempts) numpy
-    arrays for its parent rows. Runs as a Ray task so the node_id hashing
-    parallelizes across files at finalize."""
+    """One round_out file (parent rows only) → (hi, lo, round,
+    status_code, attempts) numpy arrays. Runs as a Ray task so the node_id
+    hashing parallelizes across files at finalize."""
     pc_ = pa.compute
 
-    t = pq.read_table(f, columns=["row_type", "node_id", "status",
-                                  "attempts", "round"])
-    t = t.filter(pc_.equal(t["row_type"], "parent"))
+    t = pq.read_table(f, columns=["node_id", "status", "attempts", "round"])
     hi, lo = hash128(t["node_id"].combine_chunks())
     rno = t["round"].to_numpy(zero_copy_only=False).astype(np.int64)
     codes = pc_.index_in(
@@ -832,8 +581,6 @@ def _node_status_updates(ckpt: str, rounds: int):
     gate) or a native ``Max`` over an integer encoding of (round, status,
     attempts) — no per-group Python."""
     import pyarrow.dataset as pads
-    import ray.data as rd
-    from ray.data.aggregate import Max
 
     pc_ = pa.compute
 
@@ -875,8 +622,10 @@ def _node_status_updates(ckpt: str, rounds: int):
         codes = codes_all[order][is_last]
         atts = atts_all[order][is_last]
     else:
+        import ray.data as rd
+        from ray.data.aggregate import Max
+
         def encode(t: pa.Table) -> pa.Table:
-            t = t.filter(pc_.equal(t["row_type"], "parent"))
             code = pc_.index_in(
                 t["status"], value_set=pa.array(list(STATUS_CODE.keys()))
             ).cast(pa.int64())
@@ -890,7 +639,7 @@ def _node_status_updates(ckpt: str, rounds: int):
             return pa.table({"node_id": t["node_id"], "enc": enc})
 
         last = (
-            rd.read_parquet(upd_files, columns=["row_type", "node_id", "status",
+            rd.read_parquet(upd_files, columns=["node_id", "status",
                                                 "attempts", "round"])
             .map_batches(encode, batch_format="pyarrow")
             .groupby("node_id")
@@ -898,8 +647,8 @@ def _node_status_updates(ckpt: str, rounds: int):
             .to_arrow_refs()
         )
         # Ray's groupby can emit zero-row blocks with an EMPTY schema
-        # (observed on ray 2.49.2 when an input block has no "parent"
-        # rows) — rebuild every block against the expected schema so
+        # (observed on ray 2.49.2 when an input block has no rows) —
+        # rebuild every block against the expected schema so
         # concat never sees a schema mismatch.
         enc_schema = pa.schema([("node_id", pa.string()),
                                 ("enc", pa.int64())])
@@ -919,16 +668,17 @@ def _node_status_updates(ckpt: str, rounds: int):
     return keys, codes, atts
 
 
-def _apply_updates_fn(upd_ref):
-    """Batch fn applying a broadcast ``_node_status_updates`` payload to
-    creation-delta node rows: one ``np.searchsorted`` per batch, strings
-    never shuffled. Shared by the terminal compaction (``compacted_nodes``)
-    and the lazy at-read path (``read_nodes``)."""
+def _apply_updates_fn(upd):
+    """Batch fn applying a ``_node_status_updates`` payload (in process)
+    or a ``ray.put`` ref to one (in Ray workers) to creation-delta node
+    rows: one ``np.searchsorted`` per batch, strings never shuffled.
+    Shared by the terminal compaction (``_finalize``), mid-crawl snapshots
+    (``compacted_nodes``) and the lazy at-read path (``read_nodes``)."""
     pc_ = pa.compute
     status_names = np.array(list(STATUS_CODE.keys()))
 
     def apply_bcast(t: pa.Table) -> pa.Table:
-        keys, codes, atts = _bcast_get(upd_ref)
+        keys, codes, atts = upd if isinstance(upd, tuple) else _bcast_get(upd)
         qhi, qlo = hash128(t["node_id"].combine_chunks())
         q = np.empty(len(qhi), dtype=keys.dtype)
         q["hi"], q["lo"] = qhi, qlo
@@ -953,9 +703,9 @@ def _apply_updates_fn(upd_ref):
 
 def compacted_nodes(ckpt: str, rounds: int):
     """Current node rows after ``rounds`` committed rounds: creation deltas
-    + keep-last status updates, as a (lazy) Dataset. Shared by ``_finalize``
-    (the terminal compaction) and ``raycrawl.live`` (mid-crawl snapshots —
-    the reference's live Bolt reads, crawl_service.rs:68-134)."""
+    + keep-last status updates, as a (lazy) Dataset, for ``raycrawl.live``
+    (mid-crawl snapshots — the reference's live Bolt reads,
+    crawl_service.rs:68-134)."""
     import ray
     import ray.data as rd
 
@@ -1001,9 +751,11 @@ def read_nodes(ckpt_dir: str):
 
 
 def _finalize(ckpt: str, rounds: int, cancelled: bool) -> None:
-    """Compact: creation deltas + status updates → final/nodes, final/edges."""
+    """Compact: creation deltas + status updates → final/nodes, final/edges.
+    At or below the rewrite gates both compact in the driver process into
+    one file each; above them final/ holds manifests (see read_nodes /
+    read_edges)."""
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     fdir = os.path.join(ckpt, "final")
     shutil.rmtree(fdir, ignore_errors=True)
@@ -1019,7 +771,11 @@ def _finalize(ckpt: str, rounds: int, cancelled: bool) -> None:
                 n_nodes += json.load(f).get("nodes_created", 0)
     ndir = os.path.join(fdir, "nodes")
     if n_nodes <= NODES_REWRITE_GATE:
-        _write_ds(compacted_nodes(ckpt, rounds), ndir, NODES_SCHEMA)
+        nodes = pads.dataset(node_files).to_table().combine_chunks()
+        upd = _node_status_updates(ckpt, rounds)
+        if upd is not None:
+            nodes = _apply_updates_fn(upd)(nodes)
+        _write_table(cast_table(nodes, NODES_SCHEMA), ndir)
     else:
         # Scale path: per-round creation deltas are immutable and already in
         # NODES_SCHEMA; persist only the keep-last status-update payload and
@@ -1068,7 +824,6 @@ def _finalize(ckpt: str, rounds: int, cancelled: bool) -> None:
                 n_edges += json.load(f).get("edges_created", 0)
 
     edir = os.path.join(fdir, "edges")
-    os.makedirs(edir, exist_ok=True)
 
     # seed-src dedup (bootstrap edges are all seed-src; sidecars are tiny)
     seed_tbls = [pads.dataset(e0_files).to_table()] if e0_files else []
@@ -1082,23 +837,17 @@ def _finalize(ckpt: str, rounds: int, cancelled: bool) -> None:
             cur = best.get(row["dst"])
             if cur is None or row["round"] < cur["round"]:
                 best[row["dst"]] = row
-    if best:
-        pq.write_table(
-            pa.Table.from_pylist(
-                sorted(best.values(), key=lambda r: r["dst"]), schema=EDGES_SCHEMA
-            ),
-            os.path.join(edir, "part-seed.parquet"),
-        )
-
+    edges = pa.Table.from_pylist(
+        sorted(best.values(), key=lambda r: r["dst"]), schema=EDGES_SCHEMA)
     if n_edges <= EDGES_REWRITE_GATE:
         if round_edge_files:
-            _write_ds(rd.read_parquet(round_edge_files), edir, EDGES_SCHEMA)
+            edges = pa.concat_tables([edges, cast_table(
+                pads.dataset(round_edge_files).to_table(), EDGES_SCHEMA)])
     else:
+        os.makedirs(edir, exist_ok=True)
         with open(os.path.join(edir, "edges_manifest.json"), "w") as f:
             json.dump(dict(round_edge_files=round_edge_files), f)
-    if not any(f.endswith(".parquet") for f in os.listdir(edir)):
-        pq.write_table(EDGES_SCHEMA.empty_table(),
-                       os.path.join(edir, "part-empty.parquet"))
+    _write_table(edges, edir)
     with open(os.path.join(fdir, "_DONE"), "w") as f:
         f.write("ok")
 
@@ -1197,12 +946,6 @@ def crawl(
         expected_rows = corpus_table.num_rows
 
     _ph["corpus_boot_s"] = round(_time.perf_counter() - _t, 2)
-    _t = _time.perf_counter()
-    if expected_rows > 50_000:
-        # big-corpus crawls: pre-pay heavy imports + per-worker corpus index
-        # in every worker before round 1 (workers persist across rounds)
-        _warm_workers(corpus_ref)
-    _ph["warm_s"] = round(_time.perf_counter() - _t, 2)
 
     # restore seen state from all completed rounds
     last_done = 0

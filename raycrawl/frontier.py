@@ -1,14 +1,15 @@
 """Round-expansion stage: fused fetch+extract+dedup+DNS with actor-side
 node merge.
 
-One BFS round is the Ray-Data restatement (SURVEY.md §3.4) of the
-reference's per-job pipeline (feeder/src/job.rs:263-351):
+One BFS round is the Ray restatement (SURVEY.md §3.4) of the reference's
+per-job pipeline (feeder/src/job.rs:263-351):
 
-    frontier ─ map_batches(fetch_expand)   # S1/J5 fetch + M1 extract + D1 +
+    frontier slice ─ fetch_expand          # one Ray task per slice (crawl.py):
+                                           # S1/J5 fetch + M1 extract + D1 +
                                            # J1 anti-join + M2 normalize +
                                            # ST2 DNS + M7 depth + parent status
                                            # + offer(children) → seen shards
-             → round_out parquet           # parent lifecycle rows + child/edge rows
+             → round_out parquet           # parent lifecycle rows
     barrier: SeenShard.commit_round()      # J2 MERGE winners → nodes delta
                                            # parquet (written BY the shards)
 

@@ -31,8 +31,8 @@ Semantics (mirrors the reference-corpus documents lane,
   crawl history (the 100 TB ingestion shape).
 
 Scale notes: the per-round driver pass is bounded by the round's fetched
-count (the same posture as the driver-side frontier assembly, gated by
-FRONTIER_DRIVER_GATE); for giant rounds the identical per-batch kernels
+count (the same posture as the driver-side frontier assembly in
+``crawl._run_round``); for giant rounds the identical per-batch kernels
 run under ``map_batches`` with the ``_count_by_key_partitioned`` exchange
 — see ``dedup.minhash_neardup_incremental`` for that shape. Page identity
 is carried as the high 64 bits of the 128-bit node-id hash; at
@@ -185,9 +185,8 @@ def _write_partitioned(table: pa.Table, root: str, key: str,
 # above this many pages the round's shingle/band computation fans out as
 # a Ray map_batches stage (text lookup + gram hashing are embarrassingly
 # parallel); below it the driver does the same per-slice kernels inline
-# (tiny rounds cost more in executor startup than in work — the same
-# posture as crawl.small_round_threshold). Tests force 0 to pin path
-# equality.
+# (tiny rounds cost more in executor startup than in work). Tests force
+# 0 to pin path equality.
 SHINGLE_RAY_GATE = 50_000
 
 # minimum rows per Ray-path shingle block; tests shrink it to force many
@@ -318,7 +317,9 @@ def _iter_intra_slices(rows_flat, bstarts, blens, rank, n):
     members contributes g(g-1)/2 pairs; a bench round's buckets sum to
     10^8-10^9). Buckets are grouped by size and paired vectorized per
     consecutive a-column range; a single column whose pairs exceed the
-    budget is split over buckets. Members are ordered by in-round
+    budget is split over buckets, and within one bucket over b-column
+    ranges (a bucket of more than ``_PAIR_CHUNK`` members). Members are
+    ordered by in-round
     ingestion rank so column a < b ⇔ earlier/later; in-slice duplicate
     pairs (same pair via several bands landing in one slice) are
     collapsed before the yield."""
@@ -336,13 +337,16 @@ def _iter_intra_slices(rows_flat, bstarts, blens, rank, n):
                 acc += g - 1 - a2
                 a2 += 1
             if a2 == a:
-                bcap = max(1, _PAIR_CHUNK // (g - 1 - a))
+                w = g - 1 - a
+                bcap = max(1, _PAIR_CHUNK // w)
+                step = min(w, _PAIR_CHUNK)
                 for mb in range(0, m, bcap):
                     sub = mem[mb:mb + bcap]
-                    ce = np.repeat(sub[:, a], g - 1 - a)
-                    cl = sub[:, a + 1:].ravel()
-                    u = np.unique(ce * np.int64(n) + cl)
-                    yield u // n, u % n
+                    for b0 in range(a + 1, g, step):
+                        cl = sub[:, b0:b0 + step]
+                        ce = np.repeat(sub[:, a], cl.shape[1])
+                        u = np.unique(ce * np.int64(n) + cl.ravel())
+                        yield u // n, u % n
                 a += 1
                 continue
             cols_a = np.concatenate(

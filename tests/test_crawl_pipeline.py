@@ -121,19 +121,23 @@ def test_robots_and_politeness_modes(tiny_corpus, tmp_path):
     from raycrawl.kernels import host_of
 
     s = _seeds(tiny_corpus)[0]
-    cfg = CrawlConfig(respect_robots=True, politeness_delay_ms=1.0,
-                      fetch_concurrency=2, num_seen_shards=2)
-    res = _run(tiny_corpus, s["url"], int(s["depth"]),
-               str(tmp_path / "ck_robots"), cfg=cfg)
-    nodes = res.nodes().to_pandas()
-    blocked = nodes[nodes.status == "ROBOTS_BLOCKED"]
-    for r in blocked.itertuples():
-        assert sim.robots_disallowed(host_of(r.name).lower())
-    done = nodes[(nodes.node_type == "URL") & (nodes.status == "COMPLETED")]
-    # completed fetches only on hosts robots allows
-    for r in done.itertuples():
-        if r.depth < r.requested_depth:
-            assert not sim.robots_disallowed(host_of(r.name).lower())
+    # 16-row batches split every round over several host-keyed tasks
+    for batch in (4096, 16):
+        cfg = CrawlConfig(respect_robots=True, politeness_delay_ms=1.0,
+                          fetch_concurrency=2, num_seen_shards=2,
+                          fetch_batch_size=batch)
+        res = _run(tiny_corpus, s["url"], int(s["depth"]),
+                   str(tmp_path / f"ck_robots{batch}"), cfg=cfg)
+        nodes = res.nodes().to_pandas()
+        blocked = nodes[nodes.status == "ROBOTS_BLOCKED"]
+        for r in blocked.itertuples():
+            assert sim.robots_disallowed(host_of(r.name).lower())
+        done = nodes[(nodes.node_type == "URL")
+                     & (nodes.status == "COMPLETED")]
+        # completed fetches only on hosts robots allows
+        for r in done.itertuples():
+            if r.depth < r.requested_depth:
+                assert not sim.robots_disallowed(host_of(r.name).lower())
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -151,12 +155,15 @@ def test_partitioned_corpus_crawl_oracle_equal(tiny_corpus, tmp_path):
     broadcast, per-worker partition LRU, frontier hash-repartitioned on the
     corpus key) is semantics-identical to the broadcast layout."""
     s = _seeds(tiny_corpus)[0]
-    cfg = CrawlConfig(corpus_partitioned=True, corpus_partitions=8,
-                      corpus_cache_parts=3, small_round_threshold=4)
-    res = _run(tiny_corpus, s["url"], int(s["depth"]), str(tmp_path / "ckp"),
-               cfg=cfg)
     o = oracle_crawl(tiny_corpus, s["url"], int(s["depth"]), crawl_id="t")
-    _compare(res, o)
+    # 16-row batches split every round over several tasks, each holding
+    # whole corpus partitions
+    for batch in (4096, 16):
+        cfg = CrawlConfig(corpus_partitioned=True, corpus_partitions=8,
+                          corpus_cache_parts=3, fetch_batch_size=batch)
+        res = _run(tiny_corpus, s["url"], int(s["depth"]),
+                   str(tmp_path / f"ckp{batch}"), cfg=cfg)
+        _compare(res, o)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -186,19 +193,5 @@ def test_finalize_manifest_path(tiny_corpus, tmp_path, monkeypatch):
     res = _run(tiny_corpus, s["url"], int(s["depth"]), str(tmp_path / "ckm"))
     assert os.path.exists(os.path.join(
         res.ckpt_dir, "final", "nodes", "nodes_manifest.json"))
-    o = oracle_crawl(tiny_corpus, s["url"], int(s["depth"]), crawl_id="t")
-    _compare(res, o)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_frontier_distributed_assembly_path(tiny_corpus, tmp_path, monkeypatch):
-    """Force the >gate streaming-Dataset frontier assembly (no driver-side
-    Arrow concat, next_frontier handed off via parquet instead of memory)
-    and assert the crawl is still oracle-equal."""
-    from raycrawl import crawl as crawl_mod
-
-    monkeypatch.setattr(crawl_mod, "FRONTIER_DRIVER_GATE", 0)
-    s = _seeds(tiny_corpus)[0]
-    res = _run(tiny_corpus, s["url"], int(s["depth"]), str(tmp_path / "ckf"))
     o = oracle_crawl(tiny_corpus, s["url"], int(s["depth"]), crawl_id="t")
     _compare(res, o)

@@ -1,13 +1,13 @@
 """Ingestion-time near-dup detection wired into the crawl loop
 (raycrawl.ingest_dedup + CrawlConfig.neardup_threshold): oracle equality
 on a planted-mirror corpus, both candidate paths (same-round bucket +
-cross-round persisted index), forced Dataset-round path, resume guard,
-idempotent resume, and the nodes-table column merge."""
+cross-round persisted index), resume guard, idempotent resume, and the nodes-table column merge."""
 
 import os
 import shutil
 
 import duckdb
+import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 import pytest
@@ -112,18 +112,6 @@ def test_forced_parallel_verify_path_matches(nd_crawl, tmp_path, monkeypatch):
     monkeypatch.setattr(ingest_dedup, "_VERIFY_RAY_GATE", 0)
     ck2 = str(tmp_path / "nd_ray_vf")
     _run(ck2)
-    a = crawl_neardup(nd_crawl).to_pandas()
-    b = crawl_neardup(ck2).to_pandas()
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
-
-
-def test_forced_dataset_round_path_matches(nd_crawl, tmp_path):
-    """small_round_threshold=0 forces every round through the _run_round
-    Dataset path — its neardup hook must produce identical assignments."""
-    from raycrawl.ingest_dedup import crawl_neardup
-
-    ck2 = str(tmp_path / "nd_ds")
-    _run(ck2, small_round_threshold=0)
     a = crawl_neardup(nd_crawl).to_pandas()
     b = crawl_neardup(ck2).to_pandas()
     pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
@@ -346,3 +334,28 @@ def test_recall_tool_counts_only_linked_pairs(ray_session, monkeypatch,
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert out["both_sides_fetched"] == 2
     assert out["recalled"] == 1 and out["recall"] == 0.5
+
+
+def test_intra_slices_stay_within_pair_budget(monkeypatch):
+    """A bucket with more members than _PAIR_CHUNK still streams slices of
+    at most _PAIR_CHUNK pairs, and together the slices hold exactly every
+    (earlier, later) pair of every bucket."""
+    from raycrawl import ingest_dedup
+
+    monkeypatch.setattr(ingest_dedup, "_PAIR_CHUNK", 5)
+    rng = np.random.default_rng(0)
+    n = 20
+    rows_flat = rng.permutation(n)
+    blens = np.array([12, 3, 3, 2])
+    bstarts = np.concatenate([[0], np.cumsum(blens)[:-1]])
+    rank = rng.permutation(n)
+    got = set()
+    for e, l in ingest_dedup._iter_intra_slices(rows_flat, bstarts, blens,
+                                                rank, n):
+        assert len(e) <= 5
+        got |= set(zip(e.tolist(), l.tolist()))
+    want = set()
+    for s, g in zip(bstarts, blens):
+        mem = sorted(rows_flat[s:s + g].tolist(), key=lambda x: rank[x])
+        want |= {(mem[i], mem[j]) for i in range(g) for j in range(i + 1, g)}
+    assert got == want

@@ -156,18 +156,19 @@ def test_crawl_after_one_that_raised(tiny_corpus, tmp_path, monkeypatch,
     from raycrawl import crawl as crawl_mod
 
     s0, s1 = _seeds(tiny_corpus)[:2]
-    real = crawl_mod.fetch_expand_batch
+    real = crawl_mod._fetch_slice
 
-    def failing(batch, **kw):
-        out = real(batch, **kw)
-        if kw["round_no"] == 2:
+    # a closure, so Ray ships it to the fetch task by value
+    def failing(path, batch, batch_size, fetch_kw):
+        out = real(path, batch, batch_size, fetch_kw)
+        if fetch_kw["round_no"] == 2:
             raise RuntimeError("injected mid-round failure")
         return out
 
-    monkeypatch.setattr(crawl_mod, "fetch_expand_batch", failing)
+    monkeypatch.setattr(crawl_mod, "_fetch_slice", failing)
     with pytest.raises(RuntimeError, match="injected"):
         _run(tiny_corpus, s1["url"], int(s1["depth"]), str(tmp_path / "x"))
-    monkeypatch.setattr(crawl_mod, "fetch_expand_batch", real)
+    monkeypatch.setattr(crawl_mod, "_fetch_slice", real)
     _check(tiny_corpus, s0, str(tmp_path / "a"))
     assert len(used_shards) == 2 and used_shards[0] == used_shards[1]
 
