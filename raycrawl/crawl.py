@@ -358,17 +358,19 @@ def _finish_barrier(rdir: str, seen_handles, nodes_path: str, edges_path: str):
 
 def _frontier_slices(frontier: pa.Table, batch_size: int, corpus_ref,
                      ncpu: int) -> list[pa.Table]:
-    """Split a round's frontier into k = max(1, min(4 × CPUs, ⌈n /
-    batch_size⌉)) slices, one fetch task each. Row → slice
-    ``host_partition_ids(name, P) % k``, P = the corpus partition count
-    (else k): every row of one host lands in one task (the per-host
-    politeness budget), and with a partitioned corpus a slice holds whole
-    corpus partitions, partition-major, so its fetch loop pages each one
-    in once. Returns k tables; some may be empty."""
+    """Split a round's frontier into k = max(1, min(n, 4 × CPUs, max(CPUs,
+    ⌈n / batch_size⌉))) slices, one fetch task each, so every round of at
+    least CPUs rows keeps every CPU busy and a large round still splits
+    by ``batch_size``. Row → slice ``host_partition_ids(name, P) % k``,
+    P = the corpus partition count (else k): every row of one host lands
+    in one task (the per-host politeness budget), and with a partitioned
+    corpus a slice holds whole corpus partitions, partition-major, so its
+    fetch loop pages each one in once. Returns k tables; some may be
+    empty (a host-keyed split is only as even as the hosts)."""
     from raycrawl.fetch import PartitionedCorpus, host_partition_ids
 
     n = frontier.num_rows
-    k = max(1, min(4 * ncpu, -(-n // batch_size)))
+    k = max(1, min(n, 4 * ncpu, max(ncpu, -(-n // batch_size))))
     if k == 1:
         return [frontier]
     n_parts = (corpus_ref.n_parts if isinstance(corpus_ref, PartitionedCorpus)
@@ -383,15 +385,26 @@ def _frontier_slices(frontier: pa.Table, batch_size: int, corpus_ref,
 
 
 def _fetch_slice(path: str, batch: pa.Table, batch_size: int,
-                 fetch_kw: dict) -> pa.Table:
+                 fetch_kw: dict, neardup: bool) -> tuple[pa.Table, pa.Table]:
     """One fetch task: expand ``batch`` in ``batch_size`` chunks, write
-    its round_out part (parent lifecycle rows) to ``path``, and return the
-    columns the driver needs: the frontier columns, node_id and status."""
-    ro = pa.concat_tables([
-        fetch_expand_batch(batch.slice(off, batch_size), **fetch_kw)
-        for off in range(0, batch.num_rows, batch_size)])
+    its round_out part (parent lifecycle rows) to ``path``, and return
+    (the columns the driver needs: the frontier columns, node_id and
+    status; the shingle/band/signature rows of the COMPLETED parents, in
+    their row order, computed chunk by chunk when ``neardup``, else
+    empty)."""
+    from raycrawl.ingest_dedup import _shingle_band_batch
+
+    ros, shs = [], []
+    for off in range(0, batch.num_rows, batch_size):
+        ro = fetch_expand_batch(batch.slice(off, batch_size), **fetch_kw)
+        done = ro.filter(pa.compute.equal(ro["status"], "COMPLETED"))
+        ros.append(ro)
+        shs.append(_shingle_band_batch(done if neardup else done.slice(0, 0),
+                                       fetch_kw["corpus_ref"]))
+    ro = pa.concat_tables(ros)
     pq.write_table(ro, path)
-    return ro.select(FRONTIER_SCHEMA.names + ["node_id", "status"])
+    return (ro.select(FRONTIER_SCHEMA.names + ["node_id", "status"]),
+            pa.concat_tables(shs))
 
 
 @functools.lru_cache(maxsize=1)
@@ -412,10 +425,17 @@ def _run_round(ckpt: str, r: int, crawl_id: str, cfg: CrawlConfig,
     the round dir is rebuilt from scratch.
 
       fetch: the frontier splits into host-keyed slices
-         (``_frontier_slices``), one plain Ray task each; a task runs
+         (``_frontier_slices``, at least one per CPU once the round has
+         that many rows), one plain Ray task each; a task runs
          fetch_expand, ships child candidates to the SeenShard actors (the
          RPC is the shuffle), writes its round_out part (parent lifecycle
-         rows) and returns only the parents' frontier columns + status;
+         rows) and returns only the parents' frontier columns + status,
+         plus, with ``neardup_threshold`` set, its COMPLETED parents'
+         shingle rows (so the shingle pass runs on every CPU, not in the
+         driver);
+      neardup: the driver concatenates both outputs in submission order,
+         so shingle rows stay paired with their parents, and probes /
+         indexes the round (``probe_and_index_round``);
       barrier: shards resolve J2 winners and write BOTH the nodes delta
          and the Lead-edge parquet partitions themselves; seed-src edge
          rows come back as a tiny sidecar;
@@ -454,10 +474,12 @@ def _run_round(ckpt: str, r: int, crawl_id: str, cfg: CrawlConfig,
         respect_robots=cfg.respect_robots, enrich=cfg.enrich,
     )
 
-    def fetch_stage() -> list[pa.Table]:
+    neardup = cfg.neardup_threshold is not None
+
+    def fetch_stage() -> list[tuple[pa.Table, pa.Table]]:
         os.makedirs(ro_path, exist_ok=True)
         refs = [fetch.remote(os.path.join(ro_path, f"part-{i:05d}.parquet"),
-                             s, cfg.fetch_batch_size, fetch_kw)
+                             s, cfg.fetch_batch_size, fetch_kw, neardup)
                 for i, s in enumerate(slices) if s.num_rows]
         ray.wait(refs, num_returns=len(refs))
         return ray.get(refs)
@@ -469,15 +491,16 @@ def _run_round(ckpt: str, r: int, crawl_id: str, cfg: CrawlConfig,
         shutil.rmtree(ro_path, ignore_errors=True)
         _begin_round(rdir, r, seen_handles, seed_id)  # reset shard round state
         outs = fetch_stage()
-    parents = pa.concat_tables(outs)
+    parents = pa.concat_tables([p for p, _sh in outs])
     t_neardup = 0.0
-    if cfg.neardup_threshold is not None:
+    if neardup:
         from raycrawl.ingest_dedup import probe_and_index_round
 
         t_nd0 = _time.perf_counter()
         done = parents.filter(pa.compute.equal(parents["status"], "COMPLETED"))
         probe_and_index_round(ckpt, r, done.select(["node_id", "name", "http_type"]),
-                              corpus_ref, cfg.neardup_threshold)
+                              corpus_ref, cfg.neardup_threshold,
+                              shingles=pa.concat_tables([sh for _p, sh in outs]))
         t_neardup = _time.perf_counter() - t_nd0
     t_fetch = _time.perf_counter() - t0 - t_neardup
 

@@ -127,6 +127,14 @@ _FP_K = 8
 _FP_MULT = np.uint64(0x100000001B3)
 _MAX_TOKENS = 256       # featurization window (tokens)
 _LANGID_CHARS = 1024    # language-ID window (chars)
+# ``enrich_page``'s Python tokenizers spelled in the Rust regex dialect
+# polars runs: ``str.split()`` also splits at the separators U+001C-U+001F,
+# which Rust's ``\s`` lacks, and Python's ``\w`` is letters, numbers and
+# "_", while Rust's also takes combining marks, join controls and other
+# connector punctuation. Both agree with Python on every code point its
+# Unicode tables assign (checked exhaustively on 3.11 / Unicode 14).
+_TOKEN_PAT = r"[^\s\x1c-\x1f]+"
+_WORD_PAT = r"[\p{L}\p{N}_]+"
 
 
 def _token_hashes(tokens: list[str]) -> np.ndarray:
@@ -211,8 +219,8 @@ def enrich_pages(htmls: list) -> dict:
     assembly feeds Arrow directly instead of re-pivoting 10^6 dicts.
 
     Fully vectorized: tag-strip / tokenize / window / quality / langid run
-    as polars column ops (``\\S+`` runs coincide with ``str.split()`` on
-    this corpus — same caveat as the SQL oracles), ALL pages' token
+    as polars column ops (``_TOKEN_PAT``/``_WORD_PAT`` tokenize as the
+    scalar's ``str.split()`` and ``\\w+`` do), ALL pages' token
     windows hash in ONE ``token_hash64`` call, simhash bits pack across
     the whole batch, and the only per-page Python left is two C-level
     slice minima (fingerprint/minhash windows overlap page boundaries in
@@ -232,7 +240,7 @@ def enrich_pages(htmls: list) -> dict:
 
     s = pl.Series([htmls[int(i)] for i in idxs], dtype=pl.String)
     text = s.str.replace_all(_TAG_RE.pattern, "")
-    toks = text.str.extract_all(r"\S+")
+    toks = text.str.extract_all(_TOKEN_PAT)
     n_tok = toks.list.len().to_numpy().astype(np.int64)
     window = toks.list.head(_MAX_TOKENS)
     lens = np.minimum(n_tok, _MAX_TOKENS)
@@ -241,7 +249,7 @@ def enrich_pages(htmls: list) -> dict:
 
     # quality over the joined window — the exact string " ".join(window)
     wlow = window.list.join(" ").str.to_lowercase()
-    words = wlow.str.extract_all(r"\w+")
+    words = wlow.str.extract_all(_WORD_PAT)
     nw = words.list.len().fill_null(0).to_numpy().astype(np.float64)
     nstop = (words.list.eval(pl.element().is_in(sorted(STOPWORDS))
                              .cast(pl.UInt32))

@@ -30,13 +30,14 @@ Semantics (mirrors the reference-corpus documents lane,
   pages' shingles — per-round cost scales with the round, never with the
   crawl history (the 100 TB ingestion shape).
 
-Scale notes: the per-round driver pass is bounded by the round's fetched
-count (the same posture as the driver-side frontier assembly in
-``crawl._run_round``); for giant rounds the identical per-batch kernels
-run under ``map_batches`` with the ``_count_by_key_partitioned`` exchange
-— see ``dedup.minhash_neardup_incremental`` for that shape. Page identity
-is carried as the high 64 bits of the 128-bit node-id hash; at
-10^10-frontier scale carry the full (hi, lo) pair like fetch.CorpusIndex.
+Scale notes: the text, shingle, band and signature pass
+(``_shingle_band_batch``) runs inside the crawl's fetch tasks, one
+``fetch_batch_size`` chunk at a time, so it uses every CPU the fetch
+stage uses; the driver keeps only the probe, bounded by the round's
+fetched count, and fans its prefilter+verify slices out as Ray tasks
+above ``_VERIFY_RAY_GATE`` candidate pairs. Page identity is carried as
+the high 64 bits of the 128-bit node-id hash; at 10^10-frontier scale
+carry the full (hi, lo) pair like fetch.CorpusIndex.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ import pyarrow.parquet as pq
 from raycrawl.dedup import (
     _IDX_BP_PARTS,
     _IDX_SP_PARTS,
+    N_BANDS,
+    N_PERM,
     _hive_files,
     minhash_bands_batch,
     segmented_jaccard,
@@ -181,17 +184,6 @@ def _write_partitioned(table: pa.Table, root: str, key: str,
         pq.write_table(table.filter(pa.array(part == v)),
                        os.path.join(d, "part-0.parquet"))
 
-
-# above this many pages the round's shingle/band computation fans out as
-# a Ray map_batches stage (text lookup + gram hashing are embarrassingly
-# parallel); below it the driver does the same per-slice kernels inline
-# (tiny rounds cost more in executor startup than in work). Tests force
-# 0 to pin path equality.
-SHINGLE_RAY_GATE = 50_000
-
-# minimum rows per Ray-path shingle block; tests shrink it to force many
-# out-of-order blocks through the pid-keyed reorder
-_SHINGLE_BLOCK_MIN = 2048
 
 # candidate prefilter: drop band-collision pairs whose 64-perm signature
 # agreement estimates BELOW threshold - this margin. 0.2 ≈ 3.3σ of the
@@ -411,22 +403,22 @@ def _run_sliced(fn, slices, refs: tuple, use_ray: bool, consume) -> None:
             consume(fn(*refs, *args))
 
 
-def _shingle_band_batch(t: pa.Table, corpus_ref, k: int) -> pa.Table:
-    """One parents batch → its shingle rows with the band columns packed
-    alongside (band_hash list per doc), so ONE parallel pass computes
-    both; the driver splits them back apart."""
-    from raycrawl.dedup import N_BANDS
-
+def _shingle_band_batch(t: pa.Table, corpus_ref, k: int = 3) -> pa.Table:
+    """Parents (node_id, name, http_type) → one row per parent, in their
+    order: doc_id (the pid), its shingles, its LSH band hashes and its
+    folded MinHash signature. The fetch tasks run it on their own
+    COMPLETED parents; ``probe_and_index_round`` splits the rows back
+    into the shingle, band and signature inputs of the probe."""
     pid = _pids(t["node_id"].combine_chunks())
-    from raycrawl.dedup import N_PERM
-
-    texts = _page_texts(t, corpus_ref)
-    sh = shingle_list_batch(pa.array(pid, pa.int64()), texts, k=k)
-    if len(sh) == 0:
-        return (sh.append_column(
-            "band_hashes", pa.array([], pa.list_(pa.int64(), N_BANDS)))
-            .append_column("sig", pa.array([], pa.list_(pa.uint8(),
-                                                        N_PERM))))
+    if t.num_rows == 0:
+        return pa.table({"doc_id": pa.array(pid, pa.int64()),
+                         "shingles": pa.array([], pa.list_(pa.uint64())),
+                         "n_shingles": pa.array([], pa.int64()),
+                         "band_hashes": pa.array([], pa.list_(pa.int64(),
+                                                              N_BANDS)),
+                         "sig": pa.array([], pa.list_(pa.uint8(), N_PERM))})
+    sh = shingle_list_batch(pa.array(pid, pa.int64()),
+                            _page_texts(t, corpus_ref), k=k)
     b, sig8 = minhash_bands_batch(sh, return_sig=True)
     return (sh.append_column(
         "band_hashes",
@@ -436,79 +428,39 @@ def _shingle_band_batch(t: pa.Table, corpus_ref, k: int) -> pa.Table:
             pa.array(sig8.reshape(-1), pa.uint8()), N_PERM)))
 
 
-def _shingles_and_bands(parents: pa.Table, pid: np.ndarray, corpus_ref,
-                        k: int) -> tuple[pa.Table, pa.Table, np.ndarray]:
-    """(shingle table, band table, sig8 matrix) for the round's parents —
-    Ray-parallel above SHINGLE_RAY_GATE, inline per-slice below. Row
-    order follows ``parents`` in both paths (map_batches without a
-    shuffle preserves block order). ``sig8`` is the (n, N_PERM) uint8
-    folded MinHash signature used by the candidate prefilter."""
-    from raycrawl.dedup import N_PERM
-
-    n = parents.num_rows
-    chunk = 1 << 16
-    if n > SHINGLE_RAY_GATE:
-        import functools
-
-        import ray
-        import ray.data as rd
-
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        per = max(_SHINGLE_BLOCK_MIN, (n + 2 * ncpu - 1) // (2 * ncpu))
-        ds = rd.from_arrow([parents.slice(off, per)
-                            for off in range(0, n, per)])
-        # batch_size=None = one batch per input block: a larger batch_size
-        # makes Ray COALESCE blocks into few giant tasks, serializing the
-        # stage (measured 3 tasks for 64 blocks at batch_size=65536)
-        out = ds.map_batches(
-            functools.partial(_shingle_band_batch, corpus_ref=corpus_ref,
-                              k=k),
-            batch_format="pyarrow", batch_size=None).materialize()
-        merged = pa.concat_tables(ray.get(out.to_arrow_refs()))
-        # to_arrow_refs does NOT reliably return blocks in input order —
-        # reorder by doc_id (pid) back to ``parents`` row order, or every
-        # downstream row index (shingle offsets, sig rows, stored pid
-        # pairing) silently points at the wrong page (observed at bench
-        # scale: 92% of planted mirrors missed because stored shingles
-        # belonged to other pages)
-        mpid = merged["doc_id"].to_numpy()
-        mo = np.argsort(mpid, kind="stable")
-        perm = mo[np.searchsorted(mpid[mo], pid)]
-        merged = merged.take(pa.array(perm))
-        bh_col = merged["band_hashes"].combine_chunks()
-        nb = int(bh_col.type.list_size)
-        m = len(merged)
-        bands = pa.table({
-            "band_id": pa.array(np.tile(np.arange(nb, dtype=np.int32), m)),
-            "band_hash": pa.array(
-                bh_col.values.to_numpy(zero_copy_only=False), pa.int64()),
-            "doc_id": pa.array(np.repeat(merged["doc_id"].to_numpy(), nb),
-                               pa.int64()),
-        })
-        sig8 = (merged["sig"].combine_chunks().values
-                .to_numpy(zero_copy_only=False).reshape(m, N_PERM))
-        return merged.drop_columns(["band_hashes", "sig"]), bands, sig8
-    texts = _page_texts(parents, corpus_ref)
-    sh_parts, band_parts, sig_parts = [], [], []
-    for off in range(0, n, chunk):
-        shp = shingle_list_batch(
-            pa.array(pid[off:off + chunk], pa.int64()),
-            texts.slice(off, chunk), k=k)
-        sh_parts.append(shp)
-        b, s8 = minhash_bands_batch(shp, return_sig=True)
-        band_parts.append(b)
-        sig_parts.append(s8)
-    return (pa.concat_tables(sh_parts), pa.concat_tables(band_parts),
-            np.concatenate(sig_parts) if sig_parts
-            else np.empty((0, N_PERM), np.uint8))
+def _split_shingle_rows(rows: pa.Table, pid: np.ndarray
+                        ) -> tuple[pa.ChunkedArray, pa.Table, np.ndarray]:
+    """``_shingle_band_batch`` rows → (shingle lists, exploded band table,
+    (n, N_PERM) uint8 signature matrix), after checking that row i is
+    parent i's: every downstream row index (shingle offsets, signature
+    rows, stored pid pairing) trusts that pairing, and a misaligned row
+    would verify and index one page under another page's id."""
+    got = rows["doc_id"].to_numpy()
+    if len(got) != len(pid) or not np.array_equal(got, pid):
+        raise StateError(
+            f"near-dup shingle rows are not paired with their parents "
+            f"({len(got)} rows for {len(pid)} parents)")
+    m = len(pid)
+    bands = pa.table({
+        "band_id": pa.array(np.tile(np.arange(N_BANDS, dtype=np.int32), m)),
+        "band_hash": rows["band_hashes"].combine_chunks().flatten(),
+        "doc_id": pa.array(np.repeat(pid, N_BANDS), pa.int64()),
+    })
+    sig8 = (rows["sig"].combine_chunks().flatten()
+            .to_numpy(zero_copy_only=False).reshape(m, N_PERM))
+    return rows["shingles"], bands, sig8
 
 
 def probe_and_index_round(ckpt: str, r: int, parents: pa.Table, corpus_ref,
-                          threshold: float, k: int = 3) -> pa.Table:
+                          threshold: float, k: int = 3,
+                          shingles: pa.Table | None = None) -> pa.Table:
     """Probe round r's COMPLETED parents against the prior rounds' band
     index, write this round's index shard + ``neardup/`` assignments under
     the round dir, and return the assignments table (node_id,
-    near_dup_of, jaccard) sorted by node_id."""
+    near_dup_of, jaccard) sorted by node_id. ``shingles`` holds the
+    parents' ``_shingle_band_batch`` rows, one per parent in their order
+    (the crawl's fetch tasks compute them); without it they are computed
+    here, in process. Misaligned rows raise ``StateError``."""
     import pyarrow.dataset as pads
 
     rdir = os.path.join(ckpt, f"round={r:04d}")
@@ -518,15 +470,17 @@ def probe_and_index_round(ckpt: str, r: int, parents: pa.Table, corpus_ref,
     os.makedirs(nd_dir, exist_ok=True)
 
     n = parents.num_rows
+    pid = _pids(parents["node_id"].combine_chunks())
+    if shingles is None:
+        shingles = _shingle_band_batch(parents, corpus_ref, k)
+    sh, bands, sig8 = _split_shingle_rows(shingles, pid)
     empty = NEARDUP_SCHEMA.empty_table()
     if n == 0:
         pq.write_table(empty, os.path.join(nd_dir, "part-0.parquet"))
         return empty
 
     node_ids = np.asarray(parents["node_id"].to_pylist(), dtype="U")
-    pid = _pids(parents["node_id"].combine_chunks())
-    sh, bands, sig8 = _shingles_and_bands(parents, pid, corpus_ref, k)
-    new_flat, new_offs = _list_arrays(sh["shingles"])
+    new_flat, new_offs = _list_arrays(sh)
     bid = bands["band_id"].to_numpy()
     bh = bands["band_hash"].to_numpy()
     bpid = bands["doc_id"].to_numpy()
@@ -646,11 +600,9 @@ def probe_and_index_round(ckpt: str, r: int, parents: pa.Table, corpus_ref,
         mord = np.argsort(mp, kind="stable")
         m_ids = np.asarray(omap["node_id"].to_pylist(), dtype="U")[mord]
         m_rounds = omap["probe_round"].to_numpy()[mord]
-        from raycrawl.dedup import N_PERM as _NP
-
         m_sig = (omap["sig"].combine_chunks().values
                  .to_numpy(zero_copy_only=False)
-                 .reshape(len(omap), _NP))[mord]
+                 .reshape(len(omap), N_PERM))[mord]
         mp = mp[mord]
         m_sig16 = np.ascontiguousarray(m_sig[:, :_STAGE1_PERMS])
         # old ingestion order for the per-row winner reduce
@@ -724,16 +676,14 @@ def probe_and_index_round(ckpt: str, r: int, parents: pa.Table, corpus_ref,
     sp = (pid % np.int64(_IDX_SP_PARTS)).astype(np.int64)
     _write_partitioned(
         pa.table({"pid": pa.array(pid, pa.int64()),
-                  "shingles": sh["shingles"]}),
+                  "shingles": sh}),
         os.path.join(ndx, "sh"), "sp", sp)
-    from raycrawl.dedup import N_PERM as _NP
-
     _write_partitioned(
         pa.table({"pid": pa.array(pid, pa.int64()),
                   "node_id": parents["node_id"],
                   "probe_round": pa.array(np.full(n, r, np.int32)),
                   "sig": pa.FixedSizeListArray.from_arrays(
-                      pa.array(sig8.reshape(-1), pa.uint8()), _NP)}),
+                      pa.array(sig8.reshape(-1), pa.uint8()), N_PERM)}),
         os.path.join(ndx, "map"), "sp", sp)
     return assigned
 

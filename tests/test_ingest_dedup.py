@@ -89,20 +89,6 @@ def test_ingest_dedup_covers_both_candidate_paths(nd_crawl):
     assert cross > 0, "no cross-round (persisted index) duplicate found"
 
 
-def test_forced_ray_shingle_path_matches(nd_crawl, tmp_path, monkeypatch):
-    """SHINGLE_RAY_GATE=0 forces the round's shingle/band computation
-    through the parallel map_batches stage — identical assignments."""
-    from raycrawl import ingest_dedup
-    from raycrawl.ingest_dedup import crawl_neardup
-
-    monkeypatch.setattr(ingest_dedup, "SHINGLE_RAY_GATE", 0)
-    ck2 = str(tmp_path / "nd_ray_sh")
-    _run(ck2)
-    a = crawl_neardup(nd_crawl).to_pandas()
-    b = crawl_neardup(ck2).to_pandas()
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
-
-
 def test_forced_parallel_verify_path_matches(nd_crawl, tmp_path, monkeypatch):
     """_VERIFY_RAY_GATE=0 forces every prefilter/verify slice through the
     Ray-task path (plasma-shared arrays) — identical assignments."""
@@ -210,33 +196,75 @@ def test_forced_gram_budget_slicing_matches(nd_crawl, tmp_path, monkeypatch):
     pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
 
 
-def test_forced_multiblock_shingle_order(nd_crawl, tmp_path, monkeypatch):
-    """SHINGLE_RAY_GATE=0 with a tiny block size forces the round's
-    shingle stage through MANY Ray blocks, and a per-block sleep keyed to
-    the first node_id inverts their completion order (verified to
-    misorder ``to_arrow_refs``) — the pid-keyed reorder must make
-    assignments identical regardless (regression: at bench scale,
-    unordered blocks silently paired stored shingles with the wrong
-    pages and 92% of planted mirrors were missed)."""
-    from raycrawl import ingest_dedup
+def test_out_of_order_fetch_tasks_keep_shingle_pairing(nd_crawl, tmp_path,
+                                                      monkeypatch):
+    """Small fetch batches split each round into several fetch tasks, and a
+    sleep keyed to each shingle chunk's first node_id makes the tasks
+    finish out of order. The driver pairs every task's shingle rows with
+    its parents by submission order, so the assignments equal the
+    one-task-per-round crawl's (the class of the bug where out-of-order
+    blocks silently paired stored shingles with the wrong pages)."""
+    from raycrawl import crawl as crawl_mod
+    from raycrawl.crawl import _round_dir
     from raycrawl.ingest_dedup import crawl_neardup
 
-    orig = ingest_dedup._shingle_band_batch
+    real = crawl_mod._fetch_slice
 
-    def jittered(t, corpus_ref, k):
+    # a closure, so Ray ships it to the fetch tasks by value
+    def jittered(path, batch, batch_size, fetch_kw, neardup):
         import time
+        import zlib
 
-        time.sleep(0.1 * (hash(t["node_id"][0].as_py()) % 3))
-        return orig(t, corpus_ref, k)
+        from raycrawl import ingest_dedup
 
-    monkeypatch.setattr(ingest_dedup, "SHINGLE_RAY_GATE", 0)
-    monkeypatch.setattr(ingest_dedup, "_SHINGLE_BLOCK_MIN", 8)
-    monkeypatch.setattr(ingest_dedup, "_shingle_band_batch", jittered)
-    ck2 = str(tmp_path / "nd_mb")
-    _run(ck2)
+        orig = ingest_dedup._shingle_band_batch
+
+        def slow(t, corpus_ref, k=3):
+            if t.num_rows:
+                key = t["node_id"][0].as_py().encode()
+                time.sleep(0.1 * (zlib.crc32(key) % 3))
+            return orig(t, corpus_ref, k)
+
+        ingest_dedup._shingle_band_batch = slow
+        try:
+            return real(path, batch, batch_size, fetch_kw, neardup)
+        finally:
+            ingest_dedup._shingle_band_batch = orig
+
+    monkeypatch.setattr(crawl_mod, "_fetch_slice", jittered)
+    ck2 = str(tmp_path / "nd_jit")
+    _run(ck2, fetch_batch_size=16)
+    assert max(len(os.listdir(os.path.join(_round_dir(ck2, r), "round_out")))
+               for r in (1, 2, 3)) > 2
     a = crawl_neardup(nd_crawl).to_pandas()
     b = crawl_neardup(ck2).to_pandas()
     pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
+
+
+@pytest.mark.parametrize("fault", ["drop", "rotate"])
+def test_misaligned_shingle_rows_raise(nd_crawl, tmp_path, monkeypatch,
+                                       fault):
+    """A fetch task whose shingle rows lose one row, or shift by one, no
+    longer pairs row i with parent i: the probe refuses with a typed error
+    instead of indexing pages under each other's ids."""
+    import pyarrow as pa
+
+    from raycrawl import crawl as crawl_mod
+    from raycrawl.errors import StateError
+
+    real = crawl_mod._fetch_slice
+
+    def faulty(path, batch, batch_size, fetch_kw, neardup):
+        parents, sh = real(path, batch, batch_size, fetch_kw, neardup)
+        n = sh.num_rows
+        if n >= 2:
+            sh = (sh.slice(1) if fault == "drop"
+                  else sh.take(pa.array([*range(1, n), 0])))
+        return parents, sh
+
+    monkeypatch.setattr(crawl_mod, "_fetch_slice", faulty)
+    with pytest.raises(StateError, match="not paired with their parents"):
+        _run(str(tmp_path / "nd_bad"))
 
 
 @pytest.mark.parametrize("table", ["sh", "map"])

@@ -151,8 +151,6 @@ def test_normalize_arrow_matches_scalar(urls):
 
 def test_enrich_pages_equals_enrich_page():
     """The batched featurizer is value-identical to the per-page one."""
-    from raycrawl.frontier import enrich_page, enrich_pages
-
     htmls = [
         "<html><body>The quick brown fox jumps over the lazy dog. " * 40
         + "</body></html>",
@@ -161,7 +159,22 @@ def test_enrich_pages_equals_enrich_page():
         "<div>" + " ".join(f"tok{i} the and of" for i in range(200)) + "</div>",
         "",                      # empty page → zero features
         "<b>uno dos tres el la de que y en un ser se no haber por</b>",
+        # str.split() splits at U+001C-U+001F; Rust's \\s does not
+        "<p>alpha\x1cbeta gamma the</p>",
+        "a\x1db\x1ec\x1fd the of",
+        # Python's \\w excludes combining marks and join controls and
+        # takes "No" digits; Rust's \\w is the other way round
+        "cafe\u0301 the and of x",
+        "x\u00b2 the of",
+        "a\u200db the of",
+        "snake\u203fcase the\u00a0of \u4e2d\u6587 \u03a3\u039f\u03a3",
     ]
+    _assert_enrich_equal(htmls)
+
+
+def _assert_enrich_equal(htmls):
+    from raycrawl.frontier import enrich_page, enrich_pages
+
     got = enrich_pages(htmls)
     for i, h in enumerate(htmls):
         if h is None:
@@ -170,6 +183,28 @@ def test_enrich_pages_equals_enrich_page():
             exp = enrich_page(h)
             for k, v in exp.items():
                 assert got[k][i] == v, (i, k, got[k][i], v, h[:60])
+
+
+# words over ASCII, the characters the two regex dialects split apart on,
+# CJK and NBSP, plus any character the interpreter's Unicode tables assign
+_enrich_word = st.one_of(
+    st.sampled_from(["the", "and", "of", "el", "la", "x", "<b>", "</p>"]),
+    st.text(alphabet=st.sampled_from(
+        list("abcXYZ09_ ") + ["\x1c", "\x1d", "\x1e", "\x1f", "\u00a0",
+                              "\u0301", "\u00b2", "\u200d", "\u200c",
+                              "\u203f", "\u4e2d", "\u6587", "\u3000",
+                              "\u03a3", "\u0130", "\n", "\t"]),
+        min_size=1, max_size=8),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs", "Cn")),
+            min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_enrich_word, max_size=40).map(" ".join),
+                min_size=1, max_size=6))
+def test_enrich_pages_equals_enrich_page_unicode(htmls):
+    _assert_enrich_equal(htmls)
 
 
 # --- identity hash: self-contained, library-independent ---------------------

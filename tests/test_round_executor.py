@@ -32,7 +32,9 @@ def _hosts(t: pa.Table) -> list[str]:
 
 @pytest.mark.parametrize("n,batch,ncpu,k", [
     (0, 16, 4, 1),
-    (100, 4096, 4, 1),      # one batch
+    (100, 4096, 4, 4),      # one batch, but one slice per CPU
+    (3, 4096, 4, 3),        # never more slices than rows
+    (100, 4096, 1, 1),
     (100, 16, 4, 7),        # ⌈100 / 16⌉
     (1000, 16, 2, 8),       # capped at 4 × CPUs
     (1000, 16, 1, 4),
@@ -117,7 +119,7 @@ def test_round_retry_waits_for_every_task(tiny_corpus, tmp_path, monkeypatch):
             return self.shard.offer.remote(*args)
 
     # closures, so Ray ships them to the fetch tasks by value
-    def flaky(path, batch, batch_size, fetch_kw):
+    def flaky(path, batch, batch_size, fetch_kw, neardup):
         if fetch_kw["round_no"] == 1:
             if claim(fail_mark):
                 # raise once a sibling of this same attempt holds the late
@@ -134,7 +136,7 @@ def test_round_retry_waits_for_every_task(tiny_corpus, tmp_path, monkeypatch):
                 fetch_kw = dict(fetch_kw, seen_handles=[
                     LateOffers(h, gate, deadline)
                     for h in fetch_kw["seen_handles"]])
-        return real(path, batch, batch_size, fetch_kw)
+        return real(path, batch, batch_size, fetch_kw, neardup)
 
     monkeypatch.setattr(crawl_mod, "_fetch_slice", flaky)
     s = _seeds(tiny_corpus)[0]
@@ -152,3 +154,43 @@ def test_round_retry_waits_for_every_task(tiny_corpus, tmp_path, monkeypatch):
             == e.num_rows, r
     e = res.edges().to_pandas()
     assert not e.duplicated(["src", "dst"]).any()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_small_round_runs_on_every_cpu(tiny_corpus, tmp_path, monkeypatch):
+    """A round with at least as many hosts as the session has CPUs (4) and
+    no more rows than one fetch batch still splits into several fetch
+    tasks, so no CPU sits idle while one task fetches the whole round."""
+    import uuid
+
+    from raycrawl import crawl as crawl_mod
+
+    real = crawl_mod._fetch_slice
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    # a closure, so Ray ships it to the fetch tasks by value
+    def spy(path, batch, batch_size, fetch_kw, neardup):
+        (calls / f"{fetch_kw['round_no']}-{uuid.uuid4().hex}").touch()
+        return real(path, batch, batch_size, fetch_kw, neardup)
+
+    monkeypatch.setattr(crawl_mod, "_fetch_slice", spy)
+    s = _seeds(tiny_corpus)[0]
+    cfg = CrawlConfig()
+    res = _run(tiny_corpus, s["url"], int(s["depth"]), str(tmp_path / "ck"),
+               cfg=cfg)
+    tasks: dict[int, int] = {}
+    for f in os.listdir(calls):
+        r = int(f.split("-")[0])
+        tasks[r] = tasks.get(r, 0) + 1
+    checked = 0
+    for r in range(1, res.rounds_run + 1):
+        prev = os.path.join(_round_dir(res.ckpt_dir, r - 1), "frontier")
+        frontier = pads.dataset(prev).to_table(columns=["name"])
+        if (len(set(_hosts(frontier))) >= 4
+                and frontier.num_rows <= cfg.fetch_batch_size):
+            assert tasks[r] > 1, (r, frontier.num_rows, tasks)
+            checked += 1
+    assert checked
+    _compare(res, oracle_crawl(tiny_corpus, s["url"], int(s["depth"]),
+                               crawl_id="t"))

@@ -159,8 +159,8 @@ def test_crawl_after_one_that_raised(tiny_corpus, tmp_path, monkeypatch,
     real = crawl_mod._fetch_slice
 
     # a closure, so Ray ships it to the fetch task by value
-    def failing(path, batch, batch_size, fetch_kw):
-        out = real(path, batch, batch_size, fetch_kw)
+    def failing(path, batch, batch_size, fetch_kw, neardup):
+        out = real(path, batch, batch_size, fetch_kw, neardup)
         if fetch_kw["round_no"] == 2:
             raise RuntimeError("injected mid-round failure")
         return out
