@@ -2,12 +2,12 @@
 
 Mirrors the reference's env-var knobs (feeder/src/config.rs:26-39,
 manager/src/config.rs:23-34) as a dataclass, plus the Ray-side knobs the
-reference has no analogue for (shard counts, actor pool sizes, batch sizes).
+reference has no analogue for (shard counts, batch sizes, corpus layout).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -23,10 +23,7 @@ class CrawlConfig:
     # share cores with. Every crawl in a Ray session reuses one shard set
     # per count (crawl._seen_shards).
     num_seen_shards: int | None = None
-    fetch_concurrency: int = 8     # FetchActor pool size (reference: 8 feeders,
-                                   # web-crawler/values.yaml:45)
     fetch_batch_size: int = 4096
-    candidate_batch_size: int = 8192
 
     # Politeness / robots — NOT present in the reference (SURVEY.md §2.6 L1:
     # "no priority, no politeness ordering, no rate limit per host exists in
@@ -46,7 +43,7 @@ class CrawlConfig:
     # (node_id, near_dup_of, jaccard) assignments under the round dir.
     # Off by default (reference-exact crawls, bench). Must be set from the
     # crawl's FIRST run — resuming a neardup crawl that started without it
-    # is refused (the prior rounds' index shards don't exist).
+    # is refused (the prior rounds' index files don't exist).
     neardup_threshold: float | None = None
 
     # Seen-filter backend: "set" (exact python set of 16-byte keys; test
@@ -66,5 +63,3 @@ class CrawlConfig:
     corpus_partitioned: bool = False
     corpus_partitions: int = 32
     corpus_cache_parts: int = 8
-
-    extra: dict = field(default_factory=dict)

@@ -10,17 +10,21 @@ commit.
 Checkpoint layout (resumable, per-partition lineage):
 
     ckpt/crawl.json                      # seed, depth, crawl_id, config
-    ckpt/round=0000/{nodes,edges,frontier,seen_delta}/ + counters.json + _DONE
-    ckpt/round=NNNN/{fetched,round_out,nodes,edges,parent_updates,
-                     frontier,seen_delta}/ + counters.json + _DONE
+    ckpt/round=0000/{nodes,edges,frontier}/ + counters.json + _DONE
+    ckpt/round=NNNN/{round_out,nodes,edges,seed_edges,frontier}/
+                     + counters.json + _CLAIMED + _DONE  # seed_edges: if any
+    ckpt/round=NNNN/ndx/part-0.parquet   # with neardup_threshold: the
+                                         # round's near-dup index file
+    ckpt/round=NNNN/neardup/             # ... and its assignments
     ckpt/cancel/                         # PENDING→CANCELLED update delta
     ckpt/final/{nodes,edges}/            # compacted outputs + _DONE
 
 Round 0 is the root bootstrap (manager POST /crawls semantics,
 routes/crawl.rs:31-139: no J1 anti-join at the root, duplicates collapsed
-only by MERGE). Resume = skip rounds with _DONE, bulk_load seen deltas,
-continue from the last frontier; mid-round crashes re-run the whole round
-idempotently (each round dir is removed and rewritten atomically).
+only by MERGE). Resume = skip rounds with _DONE, bulk_load the seen
+shards from the done rounds' nodes, continue from the last frontier;
+mid-round crashes re-run the whole round idempotently (each round dir is
+removed and rewritten atomically).
 """
 
 from __future__ import annotations
@@ -493,6 +497,7 @@ def _run_round(ckpt: str, r: int, crawl_id: str, cfg: CrawlConfig,
         outs = fetch_stage()
     parents = pa.concat_tables([p for p, _sh in outs])
     t_neardup = 0.0
+    nd_counters: dict = {}
     if neardup:
         from raycrawl.ingest_dedup import probe_and_index_round
 
@@ -500,7 +505,8 @@ def _run_round(ckpt: str, r: int, crawl_id: str, cfg: CrawlConfig,
         done = parents.filter(pa.compute.equal(parents["status"], "COMPLETED"))
         probe_and_index_round(ckpt, r, done.select(["node_id", "name", "http_type"]),
                               corpus_ref, cfg.neardup_threshold,
-                              shingles=pa.concat_tables([sh for _p, sh in outs]))
+                              shingles=pa.concat_tables([sh for _p, sh in outs]),
+                              counters=nd_counters)
         t_neardup = _time.perf_counter() - t_nd0
     t_fetch = _time.perf_counter() - t0 - t_neardup
 
@@ -533,6 +539,7 @@ def _run_round(ckpt: str, r: int, crawl_id: str, cfg: CrawlConfig,
         t_barrier_s=round(t_barrier, 3),
         t_frontier_s=round(_time.perf_counter() - t0 - t_fetch - t_neardup
                            - t_barrier, 3),
+        **nd_counters,
     )
     with open(os.path.join(rdir, "counters.json"), "w") as f:
         json.dump(counters, f)
@@ -977,16 +984,19 @@ def crawl(
         last_done = r
         r += 1
     if cfg.neardup_threshold is not None:
+        from raycrawl.ingest_dedup import index_file
+
         # the ingestion-dedup index is built round-by-round; a crawl that
-        # ran earlier rounds WITHOUT it has no index shards to probe, so a
-        # late enable would silently miss every cross-round duplicate
+        # ran earlier rounds WITHOUT it, or wrote them in another index
+        # layout, has no index file to probe, so resuming would silently
+        # miss every cross-round duplicate
         for rr in range(1, last_done + 1):
-            if not os.path.isdir(os.path.join(_round_dir(ckpt_dir, rr),
-                                              "ndx")):
+            if not os.path.exists(index_file(ckpt_dir, rr)):
                 raise ValueError(
                     f"neardup_threshold requires the crawl to have run "
                     f"with ingestion dedup from its first round; "
-                    f"round {rr} of {ckpt_dir} has no ndx/ index shard")
+                    f"round {rr} of {ckpt_dir} has no ndx/part-0.parquet "
+                    f"index file")
     import pyarrow.dataset as pads
 
     _t = _time.perf_counter()

@@ -53,7 +53,7 @@ def ensure_demo_crawls() -> list[str]:
 
     corpus = ensure_corpus("tiny")
     seeds = pq.read_table(os.path.join(corpus, "seeds.parquet")).to_pylist()
-    cfg = CrawlConfig(num_seen_shards=4, fetch_concurrency=4)
+    cfg = CrawlConfig(num_seen_shards=4)
     out = []
     for i, ck in enumerate(demo_ckpts()):
         done = os.path.join(ck, "final", "_DONE")
@@ -106,7 +106,6 @@ def ensure_neardup_demo() -> str:
     if not os.path.exists(os.path.join(ck, "final", "_DONE")):
         seed = pq.read_table(os.path.join(c, "seeds.parquet")).to_pylist()[0]
         crawl(c, seed["url"], 3, ck,
-              cfg=CrawlConfig(num_seen_shards=4, fetch_concurrency=4,
-                              neardup_threshold=0.6),
+              cfg=CrawlConfig(num_seen_shards=4, neardup_threshold=0.6),
               crawl_id="demodup", resume=True)
     return ck

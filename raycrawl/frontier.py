@@ -26,7 +26,7 @@ emitted only by parent ``src``'s input row, which lives in exactly one
 batch. Cross-round duplicates are impossible (a parent reaches a
 successful fetch exactly once); a final safety dedup runs at compaction.
 
-Optional per-page enrichment (``CrawlConfig.extra['enrich']`` / bench):
+Optional per-page enrichment (``CrawlConfig.enrich``):
 tag-strip text, token counts, quality score, SimHash, MinHash band hash,
 winnowing fingerprint, language guess — the per-page featurization a
 training-data crawl runs at fetch time, attached to the parent row.

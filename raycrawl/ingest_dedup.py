@@ -22,13 +22,21 @@ Semantics (mirrors the reference-corpus documents lane,
   threshold among its LSH band candidates (the same candidate
   completeness envelope as the whole MinHash family — a candidate can
   only be missed, never mis-scored);
-- the per-round index lives INSIDE the round checkpoint dir
-  (``round=NNNN/ndx/{bands/bp=K, sh/sp=K, map/sp=K}``), so the crawl's
+- the per-round index lives INSIDE the round checkpoint dir as one file,
+  ``round=NNNN/ndx/part-0.parquet``: one row per probed page (pid,
+  node_id, probe_round, sig, band_hashes, shingles), so the crawl's
   existing round idempotency (round dir removed and rebuilt atomically)
-  covers the index and resume needs no extra machinery. Probes read ONLY
-  the band partitions the new batch lands in and ONLY the candidate old
-  pages' shingles — per-round cost scales with the round, never with the
-  crawl history (the 100 TB ingestion shape).
+  covers the index and resume needs no extra machinery. A probe reads
+  the prior rounds' (pid, band_hashes) columns in full, then the other
+  columns of the candidate pages only. Partitioning the index would not
+  prune the first read: each page carries 16 band hashes, so with P
+  band-hash partitions a round of n pages misses a given partition with
+  probability (1 - 1/P)^(16 n) — at P = 64 and n = 20 that is 0.65%, so
+  a round of more than about 20 pages touches nearly all 64 partitions,
+  and the files cost more to create than the pruning saves. Every prior
+  round's file must exist and hold one row per page that round probed
+  (``parents_completed`` in its ``counters.json``); anything else raises
+  ``StateError``.
 
 Scale notes: the text, shingle, band and signature pass
 (``_shingle_band_batch``) runs inside the crawl's fetch tasks, one
@@ -42,6 +50,7 @@ carry the full (hi, lo) pair like fetch.CorpusIndex.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -50,11 +59,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from raycrawl.dedup import (
-    _IDX_BP_PARTS,
-    _IDX_SP_PARTS,
     N_BANDS,
     N_PERM,
-    _hive_files,
     minhash_bands_batch,
     segmented_jaccard,
     shingle_list_batch,
@@ -66,6 +72,18 @@ NEARDUP_SCHEMA = pa.schema(
         ("node_id", pa.string()),
         ("near_dup_of", pa.string()),
         ("jaccard", pa.float64()),
+    ]
+)
+
+# one row per probed page of a round (round=NNNN/ndx/part-0.parquet)
+INDEX_SCHEMA = pa.schema(
+    [
+        ("pid", pa.int64()),
+        ("node_id", pa.string()),
+        ("probe_round", pa.int32()),
+        ("sig", pa.list_(pa.uint8(), N_PERM)),
+        ("band_hashes", pa.list_(pa.int64(), N_BANDS)),
+        ("shingles", pa.list_(pa.uint64())),
     ]
 )
 
@@ -83,8 +101,29 @@ def _band_key(bid: np.ndarray, bh: np.ndarray) -> np.ndarray:
                    * np.uint64(0x9E3779B97F4A7C15)))
 
 
-def _round_ndx(ckpt: str, r: int) -> str:
-    return os.path.join(ckpt, f"round={r:04d}", "ndx")
+def index_file(ckpt: str, r: int) -> str:
+    """Round r's near-dup index file."""
+    return os.path.join(ckpt, f"round={r:04d}", "ndx", "part-0.parquet")
+
+
+def _prior_index_files(ckpt: str, r: int) -> list[str]:
+    """Rounds 1..r-1's index files, after checking that each exists and
+    holds one row per page its round probed: a lost row would not fail
+    the probe, it would only drop that page from every later candidate
+    set and lower recall without a sign."""
+    files = []
+    for rr in range(1, r):
+        f = index_file(ckpt, rr)
+        with open(os.path.join(ckpt, f"round={rr:04d}", "counters.json")) as fh:
+            want = json.load(fh)["parents_completed"]
+        got = pq.ParquetFile(f).metadata.num_rows if os.path.exists(f) else None
+        if got != want:
+            raise StateError(
+                f"near-dup index of round {rr} of {ckpt} has "
+                f"{'no file' if got is None else f'{got} rows'} for the "
+                f"{want} pages that round probed; rebuild round {rr} onward")
+        files.append(f)
+    return files
 
 
 def _pids(node_ids) -> np.ndarray:
@@ -176,15 +215,6 @@ def _list_arrays(col) -> tuple[np.ndarray, np.ndarray]:
     return flat[base:offs[-1]], offs - base
 
 
-def _write_partitioned(table: pa.Table, root: str, key: str,
-                       part: np.ndarray) -> None:
-    for v in np.unique(part):
-        d = os.path.join(root, f"{key}={int(v)}")
-        os.makedirs(d, exist_ok=True)
-        pq.write_table(table.filter(pa.array(part == v)),
-                       os.path.join(d, "part-0.parquet"))
-
-
 # candidate prefilter: drop band-collision pairs whose 64-perm signature
 # agreement estimates BELOW threshold - this margin. 0.2 ≈ 3.3σ of the
 # binomial estimator at j=0.6 → <0.1% miss probability for a true pair AT
@@ -223,18 +253,17 @@ _STAGE1_MARGIN = 0.15
 _GRAM_BUDGET = 32_000_000
 
 
-def _fused_verify_chunk(sigA16, sigA, sigB16, sigB, flatA, offsA, rowA_of,
-                        iordA, flatB, offsB, ea, lb, est_cut, threshold):
+def _fused_verify_chunk(sigA16, sigA, sigB16, sigB, flatA, offsA, iordA,
+                        flatB, offsB, ea, lb, est_cut, threshold):
     """One candidate slice, fused end-to-end in the worker: two-stage
     signature prefilter → gram-budget-bounded shingle gather + exact
     segmented jaccard → per-later-row reduce to the earliest-ingestion
     surviving match. Side A is the earlier/indexed side (`ea` indexes
-    its sig rows; ``rowA_of`` maps them to shingle rows, None =
-    identity; ``iordA`` is its ingestion order), side B is always the
-    current round. Returns (later_row, earlier_idx, jaccard) with at
-    most one row per later page, so result volume is bounded by the
-    slice's distinct duplicate pages even when a giant near-dup cluster
-    makes the candidate pair volume quadratic."""
+    its signature and shingle rows; ``iordA`` is its ingestion order),
+    side B is always the current round. Returns (later_row, earlier_idx,
+    jaccard) with at most one row per later page, so result volume is
+    bounded by the slice's distinct duplicate pages even when a giant
+    near-dup cluster makes the candidate pair volume quadratic."""
     k = ((sigA16[ea] == sigB16[lb]).mean(axis=1)
          >= max(0.0, est_cut - _STAGE1_MARGIN))
     ea, lb = ea[k], lb[k]
@@ -248,8 +277,7 @@ def _fused_verify_chunk(sigA16, sigA, sigB16, sigB, flatA, offsA, rowA_of,
     # most min(|A|,|B|)/max(|A|,|B|), so pairs whose shingle-set sizes
     # are off by more than the threshold ratio can never pass and are
     # dropped before any gather
-    ra = ea if rowA_of is None else rowA_of[ea]
-    la_ = (offsA[ra + 1] - offsA[ra]).astype(np.float64)
+    la_ = (offsA[ea + 1] - offsA[ea]).astype(np.float64)
     lb_ = (offsB[lb + 1] - offsB[lb]).astype(np.float64)
     k = np.minimum(la_, lb_) >= threshold * np.maximum(la_, lb_)
     ea, lb = ea[k], lb[k]
@@ -265,8 +293,7 @@ def _fused_verify_chunk(sigA16, sigA, sigB16, sigB, flatA, offsA, rowA_of,
     # corpora the order costs one lexsort.
     o = np.lexsort((iordA[ea], lb))
     ea, lb = ea[o], lb[o]
-    ra = ea if rowA_of is None else rowA_of[ea]
-    lens = ((offsA[ra + 1] - offsA[ra]) + (offsB[lb + 1] - offsB[lb]))
+    lens = ((offsA[ea + 1] - offsA[ea]) + (offsB[lb + 1] - offsB[lb]))
     alive = np.ones(len(ea), bool)
     keep_e, keep_l, keep_j = [], [], []
     pos = 0
@@ -278,7 +305,7 @@ def _fused_verify_chunk(sigA16, sigA, sigB16, sigB, flatA, offsA, rowA_of,
         cl = np.cumsum(lens[idxs])
         take = min(int(np.searchsorted(cl, _GRAM_BUDGET)) + 1, len(idxs))
         sel = idxs[:take]
-        va, offa = _gather_segments(flatA, offsA, ra[sel])
+        va, offa = _gather_segments(flatA, offsA, ea[sel])
         vb, offb = _gather_segments(flatB, offsB, lb[sel])
         j = segmented_jaccard(va, offa, vb, offb)
         kk = j >= threshold
@@ -353,14 +380,14 @@ def _iter_intra_slices(rows_flat, bstarts, blens, rank, n):
 
 
 def _iter_inter_slices(op, lo, csum, nz, new_rows_q, mp, total):
-    """Stream (old map row index, new round row) slices of ≤
+    """Stream (old candidate row index, new round row) slices of ≤
     ``_PAIR_CHUNK`` pairs from the per-band-row match intervals
     [lo, hi) over the okey-sorted old band rows. Each slice maps its
     global pair indices back to (interval, offset) arithmetically, so a
     giant interval (one band hash matching millions of old rows) splits
     naturally and nothing pair-shaped outlives its slice. Every old pid
-    in ``op``'s matched intervals has a row in ``mp`` (checked by the
-    caller), so its searchsorted is an exact match."""
+    in ``op``'s matched intervals is a candidate, read into ``mp`` from
+    the same index files, so its searchsorted is an exact match."""
     for p0 in range(0, total, _PAIR_CHUNK):
         idx = np.arange(p0, min(p0 + _PAIR_CHUNK, total), dtype=np.int64)
         itv = np.searchsorted(csum, idx, side="right") - 1
@@ -428,67 +455,74 @@ def _shingle_band_batch(t: pa.Table, corpus_ref, k: int = 3) -> pa.Table:
             pa.array(sig8.reshape(-1), pa.uint8()), N_PERM)))
 
 
-def _split_shingle_rows(rows: pa.Table, pid: np.ndarray
-                        ) -> tuple[pa.ChunkedArray, pa.Table, np.ndarray]:
-    """``_shingle_band_batch`` rows → (shingle lists, exploded band table,
-    (n, N_PERM) uint8 signature matrix), after checking that row i is
-    parent i's: every downstream row index (shingle offsets, signature
-    rows, stored pid pairing) trusts that pairing, and a misaligned row
+def _check_pairing(rows: pa.Table, pid: np.ndarray) -> None:
+    """Raise ``StateError`` unless ``_shingle_band_batch`` row i is parent
+    i's: every downstream row index (shingle offsets, signature rows,
+    band rows, the indexed pid) trusts that pairing, and a misaligned row
     would verify and index one page under another page's id."""
     got = rows["doc_id"].to_numpy()
     if len(got) != len(pid) or not np.array_equal(got, pid):
         raise StateError(
             f"near-dup shingle rows are not paired with their parents "
             f"({len(got)} rows for {len(pid)} parents)")
-    m = len(pid)
-    bands = pa.table({
-        "band_id": pa.array(np.tile(np.arange(N_BANDS, dtype=np.int32), m)),
-        "band_hash": rows["band_hashes"].combine_chunks().flatten(),
-        "doc_id": pa.array(np.repeat(pid, N_BANDS), pa.int64()),
-    })
-    sig8 = (rows["sig"].combine_chunks().flatten()
-            .to_numpy(zero_copy_only=False).reshape(m, N_PERM))
-    return rows["shingles"], bands, sig8
+
+
+def _band_rows(band_hashes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A per-page ``band_hashes`` column → one (band_id, band_hash, page
+    row) triple per band of each page."""
+    bh = band_hashes.combine_chunks().flatten().to_numpy()
+    m = len(bh) // N_BANDS
+    return (np.tile(np.arange(N_BANDS, dtype=np.int32), m), bh,
+            np.repeat(np.arange(m, dtype=np.int64), N_BANDS))
+
+
+def _sig_matrix(sig) -> np.ndarray:
+    """A ``sig`` column → its (pages, N_PERM) uint8 signature matrix."""
+    return (sig.combine_chunks().flatten().to_numpy(zero_copy_only=False)
+            .reshape(-1, N_PERM))
 
 
 def probe_and_index_round(ckpt: str, r: int, parents: pa.Table, corpus_ref,
                           threshold: float, k: int = 3,
-                          shingles: pa.Table | None = None) -> pa.Table:
-    """Probe round r's COMPLETED parents against the prior rounds' band
-    index, write this round's index shard + ``neardup/`` assignments under
+                          shingles: pa.Table | None = None,
+                          counters: dict | None = None) -> pa.Table:
+    """Probe round r's COMPLETED parents against the prior rounds' index
+    files, write this round's index file + ``neardup/`` assignments under
     the round dir, and return the assignments table (node_id,
     near_dup_of, jaccard) sorted by node_id. ``shingles`` holds the
     parents' ``_shingle_band_batch`` rows, one per parent in their order
     (the crawl's fetch tasks compute them); without it they are computed
-    here, in process. Misaligned rows raise ``StateError``."""
+    here, in process. Misaligned rows, and a prior round's index file
+    that is missing or has the wrong row count, raise ``StateError``.
+    ``counters``, when given, receives ``nd_pages`` (pages probed),
+    ``nd_candidate_pairs`` (band-collision pairs before the prefilter,
+    same-round plus cross-round) and ``nd_assigned``."""
     import pyarrow.dataset as pads
 
-    rdir = os.path.join(ckpt, f"round={r:04d}")
-    ndx = os.path.join(rdir, "ndx")
-    os.makedirs(ndx, exist_ok=True)
-    nd_dir = os.path.join(rdir, "neardup")
+    old_files = _prior_index_files(ckpt, r)
+    nd_dir = os.path.join(ckpt, f"round={r:04d}", "neardup")
     os.makedirs(nd_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(index_file(ckpt, r)), exist_ok=True)
 
     n = parents.num_rows
     pid = _pids(parents["node_id"].combine_chunks())
     if shingles is None:
         shingles = _shingle_band_batch(parents, corpus_ref, k)
-    sh, bands, sig8 = _split_shingle_rows(shingles, pid)
-    empty = NEARDUP_SCHEMA.empty_table()
-    if n == 0:
-        pq.write_table(empty, os.path.join(nd_dir, "part-0.parquet"))
-        return empty
+    _check_pairing(shingles, pid)
+    # this round's index file: read only by later rounds' probes
+    pq.write_table(pa.table({
+        "pid": pa.array(pid, pa.int64()),
+        "node_id": parents["node_id"],
+        "probe_round": pa.array(np.full(n, r, np.int32)),
+        "sig": shingles["sig"],
+        "band_hashes": shingles["band_hashes"],
+        "shingles": shingles["shingles"],
+    }).cast(INDEX_SCHEMA), index_file(ckpt, r))
 
     node_ids = np.asarray(parents["node_id"].to_pylist(), dtype="U")
-    new_flat, new_offs = _list_arrays(sh)
-    bid = bands["band_id"].to_numpy()
-    bh = bands["band_hash"].to_numpy()
-    bpid = bands["doc_id"].to_numpy()
-    _porder = np.argsort(pid, kind="stable")
-    _psorted = pid[_porder]
-
-    def rows_of(pids: np.ndarray) -> np.ndarray:
-        return _porder[np.searchsorted(_psorted, pids)]
+    new_flat, new_offs = _list_arrays(shingles["shingles"])
+    sig8 = _sig_matrix(shingles["sig"])
+    bid, bh, brow = _band_rows(shingles["band_hashes"])
 
     # --- intra-round candidates: equal (band_id, band_hash) buckets ---
     # STREAMED: a dense bucket of g members implies g(g-1)/2 pairs and a
@@ -504,7 +538,7 @@ def probe_and_index_round(ckpt: str, r: int, parents: pa.Table, corpus_ref,
     sb, sh_ = bid[okey], bh[okey]
     runs = np.flatnonzero(np.concatenate(
         [[True], (sb[1:] != sb[:-1]) | (sh_[1:] != sh_[:-1]), [True]]))
-    rows_flat = rows_of(bpid[okey])
+    rows_flat = brow[okey]
     run_starts, run_lens = runs[:-1], np.diff(runs)
     big_mask = run_lens > 1
     bstarts, blens = run_starts[big_mask], run_lens[big_mask]
@@ -550,25 +584,19 @@ def probe_and_index_round(ckpt: str, r: int, parents: pa.Table, corpus_ref,
             ((se, sl, est_cut, threshold)
              for se, sl in _iter_intra_slices(rows_flat, bstarts, blens,
                                               rank, n)),
-            (sig16, sig8, sig16, sig8, new_flat, new_offs, None, rank,
+            (sig16, sig8, sig16, sig8, new_flat, new_offs, rank,
              new_flat, new_offs),
             total_intra > _VERIFY_RAY_GATE, _consume_intra)
 
-    # --- inter-round candidates: pruned read of prior rounds' bands ---
-    bps = np.unique(bh.view(np.uint64) % np.uint64(_IDX_BP_PARTS))
-    old_files: list[str] = []
-    for rr in range(1, r):
-        old_files += _hive_files(_round_ndx(ckpt, rr), "bands", "bp", bps)
+    # --- inter-round candidates: every prior round's band rows ---
     total_inter = 0
     if old_files:
-        old = pads.dataset(old_files).to_table(
-            columns=["band_id", "band_hash", "pid"])
-        okeys = _band_key(old["band_id"].to_numpy(),
-                          old["band_hash"].to_numpy())
-        op = old["pid"].to_numpy()
+        old = pads.dataset(old_files).to_table(columns=["pid", "band_hashes"])
+        obid, obh, orow = _band_rows(old["band_hashes"])
+        okeys = _band_key(obid, obh)
         oorder = np.argsort(okeys, kind="stable")
         okeys = okeys[oorder]
-        op = op[oorder]
+        op = old["pid"].to_numpy()[orow[oorder]]
         q = _band_key(bid, bh)
         lo = np.searchsorted(okeys, q, side="left")
         hi = np.searchsorted(okeys, q, side="right")
@@ -576,65 +604,33 @@ def probe_and_index_round(ckpt: str, r: int, parents: pa.Table, corpus_ref,
         nz = np.flatnonzero(cnt)
         total_inter = int(cnt[nz].sum())
     if total_inter:
-        # candidate old-doc set WITHOUT materializing pairs: the union of
+        # candidate old-page set WITHOUT materializing pairs: the union of
         # the matched [lo, hi) intervals over the okey-sorted old band
-        # rows (interval-diff + prefix sum), then the usual sp pruning —
-        # ingestion metadata (stored sig8) AND shingles are read only for
-        # partitions holding a candidate, and shingle rows only for the
-        # candidate docs themselves; per-round read cost scales with the
-        # batch's collisions, never the crawl history.
+        # rows (interval-diff + prefix sum); signatures, ingestion
+        # metadata and shingles are then read for those pages only
         d = np.zeros(len(op) + 1, np.int64)
         np.add.at(d, lo[nz], 1)
         np.add.at(d, hi[nz], -1)
         covered = np.cumsum(d[:-1]) > 0
         cand_pids = np.unique(op[covered])
-        sps = np.unique(cand_pids % np.int64(_IDX_SP_PARTS))
-        map_files: list[str] = []
-        sh_files: list[str] = []
-        for rr in range(1, r):
-            map_files += _hive_files(_round_ndx(ckpt, rr), "map", "sp", sps)
-            sh_files += _hive_files(_round_ndx(ckpt, rr), "sh", "sp", sps)
-        omap = pads.dataset(map_files).to_table(
-            columns=["pid", "node_id", "probe_round", "sig"])
-        mp = omap["pid"].to_numpy()
-        mord = np.argsort(mp, kind="stable")
-        m_ids = np.asarray(omap["node_id"].to_pylist(), dtype="U")[mord]
-        m_rounds = omap["probe_round"].to_numpy()[mord]
-        m_sig = (omap["sig"].combine_chunks().values
-                 .to_numpy(zero_copy_only=False)
-                 .reshape(len(omap), N_PERM))[mord]
-        mp = mp[mord]
+        cand = pads.dataset(old_files).to_table(
+            columns=["pid", "node_id", "probe_round", "sig", "shingles"],
+            filter=pc.field("pid").isin(cand_pids))
+        cand = cand.take(pa.array(np.argsort(cand["pid"].to_numpy(),
+                                             kind="stable")))
+        mp = cand["pid"].to_numpy()
+        m_ids = np.asarray(cand["node_id"].to_pylist(), dtype="U")
+        m_rounds = cand["probe_round"].to_numpy()
+        m_sig = _sig_matrix(cand["sig"])
         m_sig16 = np.ascontiguousarray(m_sig[:, :_STAGE1_PERMS])
         # old ingestion order for the per-row winner reduce
         m_iord = np.empty(len(mp), np.int64)
         m_iord[np.lexsort((m_ids, m_rounds))] = np.arange(len(mp))
-        # candidate old shingles, keyed map row → shingle row
-        osh = pads.dataset(sh_files).to_table(columns=["pid", "shingles"])
-        opid = osh["pid"].to_numpy()
-        keepm = np.isin(opid, cand_pids)
-        osh = osh.filter(pa.array(keepm))
-        opid = opid[keepm]
-        oflat, ooffs = _list_arrays(osh["shingles"])
-        # every candidate needs its own map row and shingle row: the
-        # searchsorted lookups below (and in _iter_inter_slices) would
-        # otherwise land on a neighbour's row and verify the wrong page
-        missing = cand_pids[~(np.isin(cand_pids, mp)
-                              & np.isin(cand_pids, opid))]
-        if len(missing):
-            raise StateError(
-                f"near-dup index of {ckpt} has no map or shingle row for "
-                f"{len(missing)} candidate page(s) of round {r}'s probe "
-                f"(first pid {int(missing[0])}); rebuild the rounds that "
-                f"indexed them")
-        oord = np.argsort(opid, kind="stable")
-        # clamped only for non-candidate map rows, which are never read
-        m_shrow = oord[np.minimum(
-            np.searchsorted(opid[oord], mp), len(opid) - 1)]
-        # stream (old map row, new round row) slices through the fused
-        # prefilter+verify+reduce — the expansion exists only while a
-        # slice is in flight; band-duplicate pairs re-verify and the
+        oflat, ooffs = _list_arrays(cand["shingles"])
+        # stream (old candidate row, new round row) slices through the
+        # fused prefilter+verify+reduce — the expansion exists only while
+        # a slice is in flight; band-duplicate pairs re-verify and the
         # per-row min merge absorbs them
-        new_rows_q = rows_of(bpid)
         csum = np.zeros(len(nz) + 1, np.int64)
         np.cumsum(cnt[nz], out=csum[1:])
 
@@ -648,8 +644,8 @@ def probe_and_index_round(ckpt: str, r: int, parents: pa.Table, corpus_ref,
         _run_sliced(
             _fused_verify_chunk,
             ((ia, ib, est_cut, threshold) for ia, ib in _iter_inter_slices(
-                op, lo, csum, nz, new_rows_q, mp, total_inter)),
-            (m_sig16, m_sig, sig16, sig8, oflat, ooffs, m_shrow, m_iord,
+                op, lo, csum, nz, brow, mp, total_inter)),
+            (m_sig16, m_sig, sig16, sig8, oflat, ooffs, m_iord,
              new_flat, new_offs),
             total_inter > _VERIFY_RAY_GATE, _consume_inter)
 
@@ -666,25 +662,10 @@ def probe_and_index_round(ckpt: str, r: int, parents: pa.Table, corpus_ref,
          "near_dup_of": pa.array(out_of, pa.string()),
          "jaccard": pa.array(out_j, pa.float64())})
     pq.write_table(assigned, os.path.join(nd_dir, "part-0.parquet"))
-
-    # --- append this round to the index (inside the round dir) ---
-    _write_partitioned(
-        pa.table({"band_id": bands["band_id"], "band_hash": bands["band_hash"],
-                  "pid": bands["doc_id"]}),
-        os.path.join(ndx, "bands"), "bp",
-        bh.view(np.uint64) % np.uint64(_IDX_BP_PARTS))
-    sp = (pid % np.int64(_IDX_SP_PARTS)).astype(np.int64)
-    _write_partitioned(
-        pa.table({"pid": pa.array(pid, pa.int64()),
-                  "shingles": sh}),
-        os.path.join(ndx, "sh"), "sp", sp)
-    _write_partitioned(
-        pa.table({"pid": pa.array(pid, pa.int64()),
-                  "node_id": parents["node_id"],
-                  "probe_round": pa.array(np.full(n, r, np.int32)),
-                  "sig": pa.FixedSizeListArray.from_arrays(
-                      pa.array(sig8.reshape(-1), pa.uint8()), N_PERM)}),
-        os.path.join(ndx, "map"), "sp", sp)
+    if counters is not None:
+        counters.update(nd_pages=n,
+                        nd_candidate_pairs=total_intra + total_inter,
+                        nd_assigned=assigned.num_rows)
     return assigned
 
 

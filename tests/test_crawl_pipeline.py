@@ -124,8 +124,7 @@ def test_robots_and_politeness_modes(tiny_corpus, tmp_path):
     # 16-row batches split every round over several host-keyed tasks
     for batch in (4096, 16):
         cfg = CrawlConfig(respect_robots=True, politeness_delay_ms=1.0,
-                          fetch_concurrency=2, num_seen_shards=2,
-                          fetch_batch_size=batch)
+                          num_seen_shards=2, fetch_batch_size=batch)
         res = _run(tiny_corpus, s["url"], int(s["depth"]),
                    str(tmp_path / f"ck_robots{batch}"), cfg=cfg)
         nodes = res.nodes().to_pandas()

@@ -1,7 +1,9 @@
 """Ingestion-time near-dup detection wired into the crawl loop
 (raycrawl.ingest_dedup + CrawlConfig.neardup_threshold): oracle equality
 on a planted-mirror corpus, both candidate paths (same-round bucket +
-cross-round persisted index), resume guard, idempotent resume, and the nodes-table column merge."""
+cross-round persisted index), the one-file-per-round index and its
+integrity checks, per-round counters, resume guard, idempotent resume,
+and the nodes-table column merge."""
 
 import os
 import shutil
@@ -34,7 +36,7 @@ def _run(ck, threshold=0.6, **cfg_kw):
     c = _corpus()
     s = _seed(c)
     return crawl(c, s["url"], 3, ck,
-                 cfg=CrawlConfig(num_seen_shards=2, fetch_concurrency=2,
+                 cfg=CrawlConfig(num_seen_shards=2,
                                  neardup_threshold=threshold, **cfg_kw),
                  crawl_id="ndtest", resume=True)
 
@@ -104,7 +106,7 @@ def test_forced_parallel_verify_path_matches(nd_crawl, tmp_path, monkeypatch):
 
 
 def test_resume_guard_refuses_late_enable(ray_session, tmp_path):
-    """A crawl started WITHOUT ingestion dedup has no index shards; a
+    """A crawl started WITHOUT ingestion dedup has no index files; a
     resume that turns it on must refuse instead of silently missing every
     cross-round duplicate."""
     from raycrawl.config import CrawlConfig
@@ -114,17 +116,16 @@ def test_resume_guard_refuses_late_enable(ray_session, tmp_path):
     s = _seed(c)
     ck = str(tmp_path / "plain_ck")
     crawl(c, s["url"], 2, ck,
-          cfg=CrawlConfig(num_seen_shards=2, fetch_concurrency=2),
+          cfg=CrawlConfig(num_seen_shards=2),
           crawl_id="plain", resume=False)
     with pytest.raises(ValueError, match="ndx"):
         crawl(c, s["url"], 2, ck,
-              cfg=CrawlConfig(num_seen_shards=2, fetch_concurrency=2,
-                              neardup_threshold=0.6),
+              cfg=CrawlConfig(num_seen_shards=2, neardup_threshold=0.6),
               crawl_id="plain", resume=True)
 
 
 def test_neardup_resume_rebuilds_killed_round(nd_crawl, tmp_path):
-    """Kill/resume: dropping the last round (index shard included, since
+    """Kill/resume: dropping the last round (index file included, since
     it lives inside the round dir) and resuming reproduces the exact
     assignment set."""
     from raycrawl.crawl import _round_dir
@@ -267,48 +268,168 @@ def test_misaligned_shingle_rows_raise(nd_crawl, tmp_path, monkeypatch,
         _run(str(tmp_path / "nd_bad"))
 
 
-@pytest.mark.parametrize("table", ["sh", "map"])
-def test_missing_index_row_raises(nd_crawl, tmp_path, table):
-    """A cross-round candidate whose shingle (or map) row is gone from the
-    persisted index fails the probe with a typed error instead of being
-    verified against a neighbouring row's page."""
-    import glob
-
-    import pyarrow as pa
+def _later_cross_round_pair(ck):
+    """(probe round of the later page, probe round of its match, the
+    match's node_id) for the last cross-round assignment of ``ck``."""
     import pyarrow.dataset as pads
 
-    from raycrawl.crawl import _round_dir
-    from raycrawl.errors import StateError
-    from raycrawl.ingest_dedup import _pids, crawl_neardup
+    from raycrawl.ingest_dedup import crawl_neardup
 
-    nodes = pads.dataset(os.path.join(nd_crawl, "final", "nodes")).to_table(
+    nodes = pads.dataset(os.path.join(ck, "final", "nodes")).to_table(
         columns=["node_id", "round", "attempts", "node_type"]).to_pandas()
     nodes = nodes[nodes.node_type == "URL"]
     # a node made in round q is fetched and probed in round q + 1
     probe_round = dict(zip(nodes.node_id,
                            nodes["round"] + nodes.attempts + 1))
-    r, target = max((probe_round[a.node_id], a.near_dup_of)
-                    for a in crawl_neardup(nd_crawl).to_pandas().itertuples()
-                    if probe_round[a.node_id] > probe_round[a.near_dup_of])
-    pid = int(_pids(pa.array([target]))[0])
+    return max((probe_round[a.node_id], probe_round[a.near_dup_of],
+                a.near_dup_of)
+               for a in crawl_neardup(ck).to_pandas().itertuples()
+               if probe_round[a.node_id] > probe_round[a.near_dup_of])
 
-    ck2 = str(tmp_path / "nd_hole")
+
+def _probe_again(ck, r):
+    """Round r's probe run again in process, over the round's COMPLETED
+    parents from its round_out, against the index files in ``ck``."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+
+    from raycrawl.crawl import _round_dir
+    from raycrawl.fetch import broadcast_corpus, build_fetch_corpus
+    from raycrawl.ingest_dedup import probe_and_index_round
+
+    ro = pads.dataset(os.path.join(_round_dir(ck, r), "round_out")).to_table(
+        columns=["row_type", "status", "node_id", "name", "http_type"])
+    parents = ro.filter(pc.and_(pc.equal(ro["row_type"], "parent"),
+                                pc.equal(ro["status"], "COMPLETED")))
+    return probe_and_index_round(
+        ck, r, parents.select(["node_id", "name", "http_type"]),
+        broadcast_corpus(build_fetch_corpus(CORPUS)), 0.6)
+
+
+def test_short_index_file_raises(nd_crawl, tmp_path):
+    """A prior round's index file that lost one row (here, the row of a
+    page a later round matched) fails the probe with a typed error, where
+    it would otherwise only drop that page from the candidates."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from raycrawl.errors import StateError
+    from raycrawl.ingest_dedup import _pids, crawl_neardup, index_file
+
+    r, q, target = _later_cross_round_pair(nd_crawl)
+    ck2 = str(tmp_path / "nd_short")
     shutil.copytree(nd_crawl, ck2)
-    dropped = 0
-    for f in glob.glob(os.path.join(ck2, "round=*", "ndx", table, "*",
-                                    "*.parquet")):
-        t = pq.read_table(f)
-        keep = pa.compute.not_equal(t["pid"], pid)
-        dropped += t.num_rows - pa.compute.sum(keep).as_py()
-        pq.write_table(t.filter(keep), f)
-    assert dropped == 1
-    rr = r
-    while os.path.isdir(_round_dir(ck2, rr)):
-        shutil.rmtree(_round_dir(ck2, rr))
-        rr += 1
+    # the unchanged copy probes round r to the crawl's own assignments
+    nd = crawl_neardup(nd_crawl).to_pandas()
+    again = _probe_again(ck2, r).to_pandas()
+    assert set(again.node_id) <= set(nd.node_id)
+    assert target in set(again.near_dup_of)
+
+    f = index_file(ck2, q)
+    t = pq.read_table(f)
+    keep = pc.not_equal(t["pid"], int(_pids(pa.array([target]))[0]))
+    assert pc.sum(keep).as_py() == t.num_rows - 1
+    pq.write_table(t.filter(keep), f)
+    with pytest.raises(StateError, match=f"round {q} .* rows"):
+        _probe_again(ck2, r)
+
+
+def test_missing_index_file_raises(nd_crawl, tmp_path):
+    """A prior round without its index file fails the probe with a typed
+    error."""
+    from raycrawl.errors import StateError
+    from raycrawl.ingest_dedup import index_file
+
+    r, q, _target = _later_cross_round_pair(nd_crawl)
+    ck2 = str(tmp_path / "nd_nofile")
+    shutil.copytree(nd_crawl, ck2)
+    os.remove(index_file(ck2, q))
+    with pytest.raises(StateError, match=f"round {q} .* no file"):
+        _probe_again(ck2, r)
+
+
+def test_resume_guard_refuses_old_index_layout(nd_crawl, tmp_path):
+    """A checkpoint whose rounds hold the older partitioned index layout
+    (``ndx/bands/bp=K/``, no ``ndx/part-0.parquet``) is refused on resume
+    instead of being probed as if its rounds had no pages."""
+    import pyarrow as pa
+
+    from raycrawl.crawl import _round_dir
+    from raycrawl.ingest_dedup import index_file
+
+    ck2 = str(tmp_path / "nd_old_layout")
+    shutil.copytree(nd_crawl, ck2)
+    r = 1
+    while os.path.exists(os.path.join(_round_dir(ck2, r + 1), "_DONE")):
+        r += 1
+    shutil.rmtree(_round_dir(ck2, r))
     shutil.rmtree(os.path.join(ck2, "final"))
-    with pytest.raises(StateError, match="no map or shingle row"):
+    old = os.path.join(_round_dir(ck2, 1), "ndx", "bands", "bp=0")
+    os.makedirs(old)
+    pq.write_table(pa.table({"band_id": pa.array([0], pa.int32()),
+                             "band_hash": pa.array([1], pa.int64()),
+                             "pid": pa.array([2], pa.int64())}),
+                   os.path.join(old, "part-0.parquet"))
+    os.remove(index_file(ck2, 1))
+    with pytest.raises(ValueError, match="ndx"):
         _run(ck2)
+
+
+def _counters(ck):
+    import json
+
+    from raycrawl.crawl import _round_dir
+
+    out, r = [], 1
+    while os.path.exists(os.path.join(_round_dir(ck, r), "_DONE")):
+        with open(os.path.join(_round_dir(ck, r), "counters.json")) as f:
+            out.append(json.load(f))
+        r += 1
+    return out
+
+
+def test_neardup_counters_sum_to_assignments(nd_crawl):
+    """Every round of a near-dup crawl records its probed pages,
+    band-collision pairs and assignments; the assignments sum to the
+    crawl's."""
+    from raycrawl.ingest_dedup import crawl_neardup
+
+    rounds = _counters(nd_crawl)
+    assert len(rounds) >= 2
+    for c in rounds:
+        assert c["nd_pages"] == c["parents_completed"]
+        assert c["nd_candidate_pairs"] >= c["nd_assigned"] >= 0
+    assert (sum(c["nd_assigned"] for c in rounds)
+            == crawl_neardup(nd_crawl).num_rows > 0)
+
+
+def test_index_is_one_file_per_round(ray_session, nd_crawl, tmp_path):
+    """Each done round's ``ndx/`` holds exactly one Parquet file, with one
+    row per page the round probed, and the near-dup crawl's checkpoint
+    holds at most 2 files per round more than the same crawl without
+    near-dup (which writes no near-dup counters)."""
+    from raycrawl.config import CrawlConfig
+    from raycrawl.crawl import _round_dir, crawl
+
+    rounds = _counters(nd_crawl)
+    for c in rounds:
+        ndx = os.path.join(_round_dir(nd_crawl, c["round"]), "ndx")
+        files = [os.path.join(d, f) for d, _, fs in os.walk(ndx) for f in fs]
+        assert files == [os.path.join(ndx, "part-0.parquet")]
+        assert pq.ParquetFile(files[0]).metadata.num_rows == \
+            c["parents_completed"]
+
+    c = _corpus()
+    plain = str(tmp_path / "plain")
+    crawl(c, _seed(c)["url"], 3, plain, cfg=CrawlConfig(num_seen_shards=2),
+          crawl_id="ndtest", resume=False)
+    assert len(_counters(plain)) == len(rounds)
+    assert not any(k.startswith("nd_") for p in _counters(plain) for k in p)
+
+    def n_files(ck):
+        return sum(len(fs) for _, _, fs in os.walk(ck))
+
+    assert n_files(nd_crawl) - n_files(plain) <= 2 * len(rounds)
 
 
 def test_recall_tool_counts_only_linked_pairs(ray_session, monkeypatch,
