@@ -17,7 +17,9 @@ Checkpoint layout (resumable, per-partition lineage):
                                          # round's near-dup index file
     ckpt/round=NNNN/neardup/             # ... and its assignments
     ckpt/cancel/                         # PENDING→CANCELLED update delta
-    ckpt/final/{nodes,edges}/            # compacted outputs + _DONE
+    ckpt/final/{nodes,edges}/            # one file each + _DONE: nodes with
+                                         # each URL's last status
+                                         # (compacted_nodes), all edges
 
 Round 0 is the root bootstrap (manager POST /crawls semantics,
 routes/crawl.rs:31-139: no J1 anti-join at the root, duplicates collapsed
@@ -65,12 +67,7 @@ FRONTIER_SCHEMA = pa.schema(
     ]
 )
 
-from raycrawl.errors import FetchFailed, InvalidDepth, fetch_error  # noqa: E402
-
-# Deprecated alias: root-bootstrap fetch failures now raise the typed
-# errors from raycrawl.errors (M10 HTTP surface); FetchFailed keeps the
-# historical catch-all behavior for callers that caught CrawlFailed.
-CrawlFailed = FetchFailed
+from raycrawl.errors import FetchFailed, InvalidDepth, StateError, fetch_error  # noqa: E402
 
 
 def _round_dir(ckpt: str, r: int) -> str:
@@ -292,23 +289,6 @@ def _seen_shards(cfg: CrawlConfig, expected_keys: int):
     finally:
         with _SEEN_POOL_LOCK:
             _SEEN_POOL_BUSY.discard(key)
-
-
-_BCAST_CACHE: dict = {}
-
-
-def _bcast_get(ref):
-    """ray.get with per-worker-process memoization (dict objects deserialize
-    on every ray.get; cache so each worker pays once)."""
-    import ray
-
-    k = ref.hex() if hasattr(ref, "hex") else id(ref)
-    v = _BCAST_CACHE.get(k)
-    if v is None:
-        _BCAST_CACHE.clear()
-        v = ray.get(ref)
-        _BCAST_CACHE[k] = v
-    return v
 
 
 def _status_counts(col) -> dict[str, int]:
@@ -548,291 +528,84 @@ def _run_round(ckpt: str, r: int, crawl_id: str, cfg: CrawlConfig,
     return counters, next_frontier
 
 
-STATUS_CODE = {"PENDING": 0, "ROBOTS_BLOCKED": 1, "FAILED": 2, "COMPLETED": 3,
-               "CANCELLED": 4}
-CODE_STATUS = {v: k for k, v in STATUS_CODE.items()}
-
-# status-update volume above which compacted_nodes switches from the
-# driver-side numpy keep-last to the distributed encoded-Max groupby
-# (tests force 0 to exercise the distributed path on small crawls)
-UPDATE_DRIVER_GATE = 5_000_000
-
-# node/edge volume above which _finalize stops rewriting the wide tables:
-# final/ gets only the manifest over the immutable per-round partitions
-# (plus the ~25 B/node status-update sidecar for nodes), and readers
-# compose lazily (read_nodes / read_edges). At 100 TB the terminal
-# compaction must never re-shuffle or re-write the whole corpus.
-NODES_REWRITE_GATE = 1_000_000
-EDGES_REWRITE_GATE = 1_000_000
-
-
-def read_edges(ckpt_dir: str):
-    """Final edge Dataset for a crawl — compacted parquet when small, or the
-    final parts (seed subset) + a manifest over the immutable per-round edge
-    partitions at scale (see _finalize)."""
+def _final_dataset(ckpt_dir: str, name: str):
+    """``final/{name}`` as a Dataset. This finalize leaves one Parquet file
+    there; anything else (an older finalize's JSON manifest over the
+    per-round partitions, or its ``status_updates/`` sidecar) is refused,
+    since that layout keeps only part of the rows in ``final/`` and reading
+    its Parquet alone would drop the rest without a word."""
     import ray.data as rd
 
-    edir = os.path.join(ckpt_dir, "final", "edges")
-    manifest = os.path.join(edir, "edges_manifest.json")
-    parts = rd.read_parquet(_parquet_files([edir]))
-    if not os.path.exists(manifest):
-        return parts
-    with open(manifest) as f:
-        m = json.load(f)
-    if not m["round_edge_files"]:
-        return parts
-    return parts.union(rd.read_parquet(m["round_edge_files"]))
-
-
-def _upd_partial_file(f: str):
-    """One round_out file (parent rows only) → (hi, lo, round,
-    status_code, attempts) numpy arrays. Runs as a Ray task so the node_id
-    hashing parallelizes across files at finalize."""
-    pc_ = pa.compute
-
-    t = pq.read_table(f, columns=["node_id", "status", "attempts", "round"])
-    hi, lo = hash128(t["node_id"].combine_chunks())
-    rno = t["round"].to_numpy(zero_copy_only=False).astype(np.int64)
-    codes = pc_.index_in(
-        t["status"], value_set=pa.array(list(STATUS_CODE.keys()))
-    ).to_numpy(zero_copy_only=False).astype(np.int8)
-    atts = t["attempts"].to_numpy(zero_copy_only=False).astype(np.int32)
-    return hi, lo, rno, codes, atts
-
-
-def _node_status_updates(ckpt: str, rounds: int):
-    """Compact status-update broadcast payload after ``rounds`` committed
-    rounds: the LAST update per node as a SORTED structured (hi,lo) key
-    array + int8 status codes + int32 attempts (~25 B/updated node, no
-    strings). ``None`` when no round has written updates yet.
-
-    Fully vectorized: the last update per node is found either by a
-    driver-side numpy keep-last on 128-bit node hashes (below a 5M-row
-    gate) or a native ``Max`` over an integer encoding of (round, status,
-    attempts) — no per-group Python."""
-    import pyarrow.dataset as pads
-
-    pc_ = pa.compute
-
-    upd_dirs = [
-        os.path.join(_round_dir(ckpt, r), "round_out") for r in range(1, rounds + 1)
-    ]
-    cancel_dir = os.path.join(ckpt, "cancel")
-    if os.path.isdir(cancel_dir):
-        upd_dirs.append(cancel_dir)
-    upd_files = _parquet_files(upd_dirs)
-    if not upd_files:
-        return None
-
-    key_dt = np.dtype([("hi", "u8"), ("lo", "u8")])
-
-    # Last status update per node. Updates ≈ fetched parents (≤ Σ
-    # frontier sizes) — orders of magnitude fewer than creates.
-    import ray
-
-    upd_ds = pads.dataset(upd_files)
-    if upd_ds.count_rows() <= UPDATE_DRIVER_GATE:
-        # parse + hash each file in a parallel task (the string hashing is
-        # the dominant cost); the driver only concatenates numeric arrays
-        # and lexsorts — finalize stays off the serial critical path
-        part = ray.remote(num_cpus=1)(_upd_partial_file)
-        parts = ray.get([part.remote(f) for f in upd_files])
-        hi = np.concatenate([p[0] for p in parts])
-        lo = np.concatenate([p[1] for p in parts])
-        rno = np.concatenate([p[2] for p in parts])
-        codes_all = np.concatenate([p[3] for p in parts])
-        atts_all = np.concatenate([p[4] for p in parts])
-        order = np.lexsort((rno, lo, hi))  # key asc, round asc within key
-        shi, slo = hi[order], lo[order]
-        is_last = np.ones(len(order), dtype=bool)
-        if len(order):
-            is_last[:-1] = (shi[1:] != shi[:-1]) | (slo[1:] != slo[:-1])
-        keys = np.empty(int(is_last.sum()), dtype=key_dt)
-        keys["hi"], keys["lo"] = shi[is_last], slo[is_last]
-        codes = codes_all[order][is_last]
-        atts = atts_all[order][is_last]
-    else:
-        import ray.data as rd
-        from ray.data.aggregate import Max
-
-        def encode(t: pa.Table) -> pa.Table:
-            code = pc_.index_in(
-                t["status"], value_set=pa.array(list(STATUS_CODE.keys()))
-            ).cast(pa.int64())
-            enc = pc_.add(
-                pc_.add(
-                    pc_.multiply(t["round"].cast(pa.int64()), pa.scalar(1 << 14)),
-                    pc_.multiply(code, pa.scalar(1 << 10)),
-                ),
-                t["attempts"].cast(pa.int64()),
-            )
-            return pa.table({"node_id": t["node_id"], "enc": enc})
-
-        last = (
-            rd.read_parquet(upd_files, columns=["node_id", "status",
-                                                "attempts", "round"])
-            .map_batches(encode, batch_format="pyarrow")
-            .groupby("node_id")
-            .aggregate(Max("enc", alias_name="enc"))
-            .to_arrow_refs()
-        )
-        # Ray's groupby can emit zero-row blocks with an EMPTY schema
-        # (observed on ray 2.49.2 when an input block has no rows) —
-        # rebuild every block against the expected schema so
-        # concat never sees a schema mismatch.
-        enc_schema = pa.schema([("node_id", pa.string()),
-                                ("enc", pa.int64())])
-        last = pa.concat_tables([
-            pa.Table.from_batches(ray.get(ref).to_batches() or [],
-                                  schema=enc_schema)
-            for ref in last
-        ])
-        enc = last["enc"].to_numpy(zero_copy_only=False)
-        hi, lo = hash128(last["node_id"].combine_chunks())
-        order = np.lexsort((lo, hi))
-        keys = np.empty(len(order), dtype=key_dt)
-        keys["hi"], keys["lo"] = hi[order], lo[order]
-        codes = ((enc >> 10) & 0xF).astype(np.int8)[order]
-        atts = (enc & 0x3FF).astype(np.int32)[order]
-
-    return keys, codes, atts
-
-
-def _apply_updates_fn(upd):
-    """Batch fn applying a ``_node_status_updates`` payload (in process)
-    or a ``ray.put`` ref to one (in Ray workers) to creation-delta node
-    rows: one ``np.searchsorted`` per batch, strings never shuffled.
-    Shared by the terminal compaction (``_finalize``), mid-crawl snapshots
-    (``compacted_nodes``) and the lazy at-read path (``read_nodes``)."""
-    pc_ = pa.compute
-    status_names = np.array(list(STATUS_CODE.keys()))
-
-    def apply_bcast(t: pa.Table) -> pa.Table:
-        keys, codes, atts = upd if isinstance(upd, tuple) else _bcast_get(upd)
-        qhi, qlo = hash128(t["node_id"].combine_chunks())
-        q = np.empty(len(qhi), dtype=keys.dtype)
-        q["hi"], q["lo"] = qhi, qlo
-        if len(keys):
-            pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
-            found = keys[pos] == q
-        else:
-            pos = np.zeros(len(q), dtype=np.int64)
-            found = np.zeros(len(q), dtype=bool)
-        is_url = pc_.equal(t["node_type"], "URL").to_numpy(zero_copy_only=False)
-        m = found & is_url
-        has = pa.array(m)
-        st = pc_.if_else(has, pa.array(status_names[codes[pos]]), t["status"])
-        att = pc_.if_else(has, pa.array(atts[pos], pa.int32()), t["attempts"])
-        t = t.set_column(t.schema.get_field_index("status"), "status", st)
-        return t.set_column(
-            t.schema.get_field_index("attempts"), "attempts", att
-        )
-
-    return apply_bcast
-
-
-def compacted_nodes(ckpt: str, rounds: int):
-    """Current node rows after ``rounds`` committed rounds: creation deltas
-    + keep-last status updates, as a (lazy) Dataset, for ``raycrawl.live``
-    (mid-crawl snapshots — the reference's live Bolt reads,
-    crawl_service.rs:68-134)."""
-    import ray
-    import ray.data as rd
-
-    node_files = _parquet_files(
-        [os.path.join(_round_dir(ckpt, r), "nodes") for r in range(rounds + 1)]
-    )
-    creates = rd.read_parquet(node_files)
-    upd = _node_status_updates(ckpt, rounds)
-    if upd is None:
-        return creates
-    return creates.map_batches(_apply_updates_fn(ray.put(upd)),
-                               batch_format="pyarrow")
+    d = os.path.join(ckpt_dir, "final", name)
+    other = sorted(f for f in os.listdir(d) if not f.endswith(".parquet"))
+    if other:
+        raise StateError(
+            f"{d} holds {other}, left by an older finalize layout; resume "
+            f"the crawl (crawl(..., resume=True)) to finalize it again")
+    return rd.read_parquet(_parquet_files([d]))
 
 
 def read_nodes(ckpt_dir: str):
-    """Final node Dataset for a crawl — compacted parquet when small, or
-    (above ``NODES_REWRITE_GATE``) the immutable per-round creation deltas
-    with the keep-last status-update payload applied lazily per batch. At
-    the 100 TB design point the terminal compaction never rewrites the wide
-    node table; the ~25 B/node update sidecar is the only finalize artifact
-    and every reader pays one searchsorted per batch."""
-    import ray
-    import ray.data as rd
-
-    ndir = os.path.join(ckpt_dir, "final", "nodes")
-    manifest = os.path.join(ndir, "nodes_manifest.json")
-    if not os.path.exists(manifest):
-        return rd.read_parquet(_parquet_files([ndir]))
-    with open(manifest) as f:
-        m = json.load(f)
-    ds = rd.read_parquet(m["node_files"])
-    upath = os.path.join(ndir, "status_updates", "updates.parquet")
-    if not os.path.exists(upath):
-        return ds
-    ut = pq.read_table(upath)
-    keys = np.empty(ut.num_rows, dtype=np.dtype([("hi", "u8"), ("lo", "u8")]))
-    keys["hi"] = ut["hi"].to_numpy(zero_copy_only=False)
-    keys["lo"] = ut["lo"].to_numpy(zero_copy_only=False)
-    codes = ut["code"].to_numpy(zero_copy_only=False).astype(np.int8)
-    atts = ut["atts"].to_numpy(zero_copy_only=False).astype(np.int32)
-    return ds.map_batches(_apply_updates_fn(ray.put((keys, codes, atts))),
-                          batch_format="pyarrow")
+    """Final node Dataset for a crawl (``final/nodes``)."""
+    return _final_dataset(ckpt_dir, "nodes")
 
 
-def _finalize(ckpt: str, rounds: int, cancelled: bool) -> None:
-    """Compact: creation deltas + status updates → final/nodes, final/edges.
-    At or below the rewrite gates both compact in the driver process into
-    one file each; above them final/ holds manifests (see read_nodes /
-    read_edges)."""
+def read_edges(ckpt_dir: str):
+    """Final edge Dataset for a crawl (``final/edges``)."""
+    return _final_dataset(ckpt_dir, "edges")
+
+
+def compacted_nodes(ckpt: str, rounds: int) -> pa.Table:
+    """Node rows after ``rounds`` committed rounds, in creation order: the
+    creation deltas, with each URL node's status and attempts taken from
+    its last ``round_out`` or ``cancel/`` row (what a read sees after the
+    reference's ``SET n.status``, feeder/src/job.rs:108-131). ``_finalize``
+    writes it to ``final/nodes``; ``raycrawl.live`` serves mid-crawl
+    snapshots from it (the reference's live Bolt reads,
+    crawl_service.rs:68-134)."""
+    import pyarrow.dataset as pads
+
+    pc = pa.compute
+    nodes = pads.dataset(_parquet_files(
+        [os.path.join(_round_dir(ckpt, r), "nodes") for r in range(rounds + 1)]
+    )).to_table()
+    upd_files = _parquet_files(
+        [os.path.join(_round_dir(ckpt, r), "round_out") for r in range(1, rounds + 1)]
+        + [os.path.join(ckpt, "cancel")])
+    if upd_files:
+        # sort_by is stable, so two rows of one round keep their file
+        # order, and a one-thread "last" takes each node's final row
+        last = (pads.dataset(upd_files)
+                .to_table(columns=["node_id", "status", "attempts", "round"])
+                .sort_by("round")
+                .group_by("node_id", use_threads=False)
+                .aggregate([("status", "last"), ("attempts", "last")]))
+        idx = pc.index_in(nodes["node_id"], value_set=last["node_id"])
+        # only URL rows take updates: the ROOT row keeps its status even
+        # when a URL node of its node_id (the label split,
+        # crawl_service.rs:45) was fetched
+        hit = pc.and_(pc.is_valid(idx), pc.equal(nodes["node_type"], "URL"))
+        for col in ("status", "attempts"):
+            new = pc.if_else(hit, last[f"{col}_last"].take(idx), nodes[col])
+            nodes = nodes.set_column(nodes.schema.get_field_index(col), col, new)
+    return cast_table(nodes, NODES_SCHEMA)
+
+
+def _finalize(ckpt: str, rounds: int) -> None:
+    """Compact into final/, one file each: ``compacted_nodes`` →
+    final/nodes; the rounds' edges → final/edges."""
     import pyarrow.dataset as pads
 
     fdir = os.path.join(ckpt, "final")
     shutil.rmtree(fdir, ignore_errors=True)
-
-    node_files = _parquet_files(
-        [os.path.join(_round_dir(ckpt, r), "nodes") for r in range(rounds + 1)]
-    )
-    n_nodes = 0
-    for r in range(0, rounds + 1):
-        cpath = os.path.join(_round_dir(ckpt, r), "counters.json")
-        if os.path.exists(cpath):
-            with open(cpath) as f:
-                n_nodes += json.load(f).get("nodes_created", 0)
-    ndir = os.path.join(fdir, "nodes")
-    if n_nodes <= NODES_REWRITE_GATE:
-        nodes = pads.dataset(node_files).to_table().combine_chunks()
-        upd = _node_status_updates(ckpt, rounds)
-        if upd is not None:
-            nodes = _apply_updates_fn(upd)(nodes)
-        _write_table(cast_table(nodes, NODES_SCHEMA), ndir)
-    else:
-        # Scale path: per-round creation deltas are immutable and already in
-        # NODES_SCHEMA; persist only the keep-last status-update payload and
-        # a manifest. read_nodes() applies the updates lazily per batch.
-        os.makedirs(ndir, exist_ok=True)
-        upd = _node_status_updates(ckpt, rounds)
-        if upd is not None:
-            keys, codes, atts = upd
-            os.makedirs(os.path.join(ndir, "status_updates"), exist_ok=True)
-            pq.write_table(
-                pa.table({"hi": pa.array(keys["hi"], pa.uint64()),
-                          "lo": pa.array(keys["lo"], pa.uint64()),
-                          "code": pa.array(codes, pa.int8()),
-                          "atts": pa.array(atts, pa.int32())}),
-                os.path.join(ndir, "status_updates", "updates.parquet"),
-            )
-        with open(os.path.join(ndir, "nodes_manifest.json"), "w") as f:
-            json.dump(dict(node_files=node_files), f)
+    _write_table(compacted_nodes(ckpt, rounds), os.path.join(fdir, "nodes"))
 
     # Edges: bootstrap delta (round 0, all src == seed/ROOT id) + per-round
     # edge partitions written by the seen shards at each barrier. Edges are
     # already globally distinct EXCEPT rows with src == seed id (the
     # ROOT/URL label split, crawl_service.rs:45): those were diverted into
     # tiny per-round seed_edges sidecars and are exact-deduped here on the
-    # driver (min round wins). Below the rewrite gate everything compacts
-    # into final/edges; above it final/edges holds the seed subset + a
-    # manifest over the immutable per-round partitions (read_edges()).
+    # driver (min round wins), then the round partitions are appended.
     with open(os.path.join(ckpt, "crawl.json")) as f:
         meta = json.load(f)
     rname, rproto = normalize_url(meta["seed_url"])
@@ -845,15 +618,6 @@ def _finalize(ckpt: str, rounds: int, cancelled: bool) -> None:
     seed_files = _parquet_files(
         [os.path.join(_round_dir(ckpt, r), "seed_edges") for r in range(1, rounds + 1)]
     )
-
-    n_edges = 0
-    for r in range(1, rounds + 1):
-        cpath = os.path.join(_round_dir(ckpt, r), "counters.json")
-        if os.path.exists(cpath):
-            with open(cpath) as f:
-                n_edges += json.load(f).get("edges_created", 0)
-
-    edir = os.path.join(fdir, "edges")
 
     # seed-src dedup (bootstrap edges are all seed-src; sidecars are tiny)
     seed_tbls = [pads.dataset(e0_files).to_table()] if e0_files else []
@@ -869,15 +633,10 @@ def _finalize(ckpt: str, rounds: int, cancelled: bool) -> None:
                 best[row["dst"]] = row
     edges = pa.Table.from_pylist(
         sorted(best.values(), key=lambda r: r["dst"]), schema=EDGES_SCHEMA)
-    if n_edges <= EDGES_REWRITE_GATE:
-        if round_edge_files:
-            edges = pa.concat_tables([edges, cast_table(
-                pads.dataset(round_edge_files).to_table(), EDGES_SCHEMA)])
-    else:
-        os.makedirs(edir, exist_ok=True)
-        with open(os.path.join(edir, "edges_manifest.json"), "w") as f:
-            json.dump(dict(round_edge_files=round_edge_files), f)
-    _write_table(edges, edir)
+    if round_edge_files:
+        edges = pa.concat_tables([edges, cast_table(
+            pads.dataset(round_edge_files).to_table(), EDGES_SCHEMA)])
+    _write_table(edges, os.path.join(fdir, "edges"))
     with open(os.path.join(fdir, "_DONE"), "w") as f:
         f.write("ok")
 
@@ -1052,7 +811,7 @@ def crawl(
                 cancelled = True
 
     _t = _time.perf_counter()
-    _finalize(ckpt_dir, r, cancelled)
+    _finalize(ckpt_dir, r)
     _ph["finalize_s"] = round(_time.perf_counter() - _t, 2)
     with open(os.path.join(ckpt_dir, "phases.json"), "w") as f:
         json.dump(_ph, f)

@@ -11,9 +11,10 @@ the two, the in-flight set is exactly the round's frontier, and the
 frontier equals EVERY PENDING node of the committed snapshot (leaves are
 born COMPLETED, M6; depth-guarded children never commit PENDING past the
 requested depth, M5; retry parents stay PENDING and re-enter the frontier,
-M11). So the live overlay is a pure vectorized status rewrite inside
-``map_batches`` — no lookup table, no broadcast, no extra shuffle — and it
-stays exact at any frontier size.
+M11). So the live overlay is one vectorized status rewrite of the
+snapshot table (``crawl.compacted_nodes``, the same compaction finalize
+writes) — no lookup table, no broadcast — and it stays exact at any
+frontier size. The snapshot is built in the driver, like ``final/nodes``.
 
 Consistency: committed round dirs are immutable (``_DONE`` is the last
 write), and the open round's partial output is never read — a live query
@@ -56,23 +57,21 @@ def open_round(ckpt_dir: str) -> int | None:
 
 
 def live_nodes(ckpt_dir: str):
-    """Current node rows mid-crawl, with the IN-PROGRESS overlay, as a lazy
-    Dataset (streams; never materializes the crawl on the driver)."""
+    """Current node rows mid-crawl, with the IN-PROGRESS overlay, as a
+    Dataset over the snapshot table."""
+    import ray.data as rd
+
     last = last_done_round(ckpt_dir)
     if last < 0:
         raise FileNotFoundError(f"no committed rounds under {ckpt_dir}")
-    snap = compacted_nodes(ckpt_dir, last)
-    if open_round(ckpt_dir) is None:
-        return snap
-
-    def claim(t: pa.Table) -> pa.Table:
+    t = compacted_nodes(ckpt_dir, last)
+    if open_round(ckpt_dir) is not None:
         claimed = pc.and_(
             pc.equal(t["node_type"], "URL"), pc.equal(t["status"], "PENDING")
         )
         st = pc.if_else(claimed, pa.scalar("IN-PROGRESS"), t["status"])
-        return t.set_column(t.schema.get_field_index("status"), "status", st)
-
-    return snap.map_batches(claim, batch_format="pyarrow")
+        t = t.set_column(t.schema.get_field_index("status"), "status", st)
+    return rd.from_arrow(t)
 
 
 def live_progress(ckpt_dir: str, crawl_id: str) -> pa.Table:

@@ -31,9 +31,8 @@ def _read(path):
 
 
 def load_nodes(ckpt_dirs):
-    """Final nodes of one or more crawls → one Dataset (manifest-aware:
-    big crawls compose creation deltas + lazy status updates, see
-    crawl.read_nodes)."""
+    """Final nodes of one or more crawls → one Dataset (crawl.read_nodes
+    of each)."""
     if isinstance(ckpt_dirs, str):
         ckpt_dirs = [ckpt_dirs]
     from raycrawl.crawl import read_nodes

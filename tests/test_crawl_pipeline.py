@@ -166,31 +166,25 @@ def test_partitioned_corpus_crawl_oracle_equal(tiny_corpus, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_finalize_distributed_update_path(tiny_corpus, tmp_path, monkeypatch):
-    """Force the >gate encoded-Max groupby path of compacted_nodes and
-    assert it produces the same final tables as the driver-side keep-last
-    (i.e. still oracle-equal)."""
-    from raycrawl import crawl as crawl_mod
+def test_old_manifest_layout_is_refused(tiny_corpus, tmp_path):
+    """A final/ left by the older manifest finalize (a JSON manifest next
+    to a Parquet file that holds only part of the rows) is refused by
+    read_nodes/read_edges instead of read as the whole crawl, and resuming
+    the crawl finalizes it again."""
+    from raycrawl.crawl import crawl, read_edges, read_nodes
+    from raycrawl.errors import StateError
 
-    monkeypatch.setattr(crawl_mod, "UPDATE_DRIVER_GATE", 0)
     s = _seeds(tiny_corpus)[0]
-    res = _run(tiny_corpus, s["url"], int(s["depth"]), str(tmp_path / "ckd"))
+    done = _run(tiny_corpus, s["url"], int(s["depth"]), str(tmp_path / "ck"))
     o = oracle_crawl(tiny_corpus, s["url"], int(s["depth"]), crawl_id="t")
-    _compare(res, o)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_finalize_manifest_path(tiny_corpus, tmp_path, monkeypatch):
-    """Force the >NODES/EDGES_REWRITE_GATE finalize (no wide-table rewrite:
-    nodes_manifest + status-update sidecar, edges manifest) and assert the
-    lazily-composed read_nodes/read_edges view is still oracle-equal."""
-    from raycrawl import crawl as crawl_mod
-
-    monkeypatch.setattr(crawl_mod, "NODES_REWRITE_GATE", 0)
-    monkeypatch.setattr(crawl_mod, "EDGES_REWRITE_GATE", 0)
-    s = _seeds(tiny_corpus)[0]
-    res = _run(tiny_corpus, s["url"], int(s["depth"]), str(tmp_path / "ckm"))
-    assert os.path.exists(os.path.join(
-        res.ckpt_dir, "final", "nodes", "nodes_manifest.json"))
-    o = oracle_crawl(tiny_corpus, s["url"], int(s["depth"]), crawl_id="t")
+    for name, read in (("nodes", read_nodes), ("edges", read_edges)):
+        ck = str(tmp_path / f"old_{name}")
+        shutil.copytree(done.ckpt_dir, ck)
+        with open(os.path.join(ck, "final", name, f"{name}_manifest.json"),
+                  "w") as f:
+            f.write("{}")
+        with pytest.raises(StateError, match="resume"):
+            read(ck)
+    res = crawl(tiny_corpus, s["url"], int(s["depth"]), ck, crawl_id="t",
+                resume=True)
     _compare(res, o)

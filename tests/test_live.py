@@ -78,19 +78,23 @@ def test_no_overlay_between_rounds(frozen_crawl):
 @pytest.mark.usefixtures("ray_session")
 def test_live_matches_final_on_finished_crawl(tiny_corpus, tmp_path):
     """After the last barrier of a finished crawl the live snapshot equals
-    the finalized tables (and reports zero in-flight)."""
+    the finalized tables row for row (and reports zero in-flight)."""
+    import pyarrow.dataset as pads
+
     from raycrawl import live
-    from raycrawl.crawl import crawl
+    from raycrawl.crawl import compacted_nodes, crawl
     from raycrawl.queries import crawl_progress, load_nodes
 
     s = _seed(tiny_corpus)
     ck = str(tmp_path / "ck")
-    crawl(tiny_corpus, s["url"], int(s["depth"]), ck, crawl_id="lv2",
-          cfg=CrawlConfig(num_seen_shards=2), resume=False)
+    res = crawl(tiny_corpus, s["url"], int(s["depth"]), ck, crawl_id="lv2",
+                cfg=CrawlConfig(num_seen_shards=2), resume=False)
     live_row = live.live_progress(ck, "lv2").to_pylist()[0]
     final_row = crawl_progress(load_nodes(ck), "lv2").to_pylist()[0]
     assert live_row == final_row
     assert live_row["in_progress"] == 0 and live_row["pending"] == 0
+    final = pads.dataset(res.nodes_path).to_table()
+    assert compacted_nodes(ck, res.rounds_run).equals(final)
 
 
 @pytest.mark.usefixtures("ray_session")

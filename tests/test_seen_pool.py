@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -223,8 +224,13 @@ def test_checked_out_pool_gives_concurrent_crawl_its_own_set():
         with _seen_shards(cfg, 1000) as own:
             assert not set(_ids(own)) & set(_ids(pooled))
             assert ray.get(own[0].size.remote()) == 0
+        # ray.kill is asynchronous: a call right after it can still reach
+        # the actor, so poll until one fails (and fail if none does)
+        deadline = time.monotonic() + 60
         with pytest.raises(ray.exceptions.RayActorError):
-            ray.get(own[0].size.remote(), timeout=60)
+            while time.monotonic() < deadline:
+                ray.get(own[0].size.remote(), timeout=60)
+                time.sleep(0.1)
         assert ray.get(pooled[0].size.remote()) == 0
     with _seen_shards(cfg, 1000) as again:
         assert _ids(again) == _ids(pooled)
