@@ -734,7 +734,7 @@ def crawl(
             corpus_ref = broadcast_corpus(corpus_table)
         expected_rows = corpus_table.num_rows
 
-    _ph["corpus_boot_s"] = round(_time.perf_counter() - _t, 2)
+    _ph["corpus_boot_s"] = round(_time.perf_counter() - _t, 4)
 
     # restore seen state from all completed rounds
     last_done = 0
@@ -760,7 +760,7 @@ def crawl(
 
     _t = _time.perf_counter()
     with _seen_shards(cfg, expected_keys=expected_rows * 4) as seen:
-        _ph["actors_s"] = round(_time.perf_counter() - _t, 2)
+        _ph["actors_s"] = round(_time.perf_counter() - _t, 4)
         _t = _time.perf_counter()
 
         # Restore the committed set incrementally: per round, per parquet
@@ -788,7 +788,7 @@ def crawl(
                     ray.get(ready)
         if pending_refs:
             ray.get(pending_refs)
-        _ph["restore_s"] = round(_time.perf_counter() - _t, 2)
+        _ph["restore_s"] = round(_time.perf_counter() - _t, 4)
 
         cancelled = os.path.isdir(os.path.join(ckpt_dir, "cancel"))
         r = last_done
@@ -812,7 +812,7 @@ def crawl(
 
     _t = _time.perf_counter()
     _finalize(ckpt_dir, r)
-    _ph["finalize_s"] = round(_time.perf_counter() - _t, 2)
+    _ph["finalize_s"] = round(_time.perf_counter() - _t, 4)
     with open(os.path.join(ckpt_dir, "phases.json"), "w") as f:
         json.dump(_ph, f)
     # the seen shards stay up for the session's next crawl, which resets

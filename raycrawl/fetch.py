@@ -7,10 +7,9 @@ feeder/src/main.rs:33-36; 8 workers, web-crawler/values.yaml:45).  Here
 the frozen page corpus, in one of two layouts:
 
 - **broadcast** (small corpus): the driver ``ray.put``s the pages table
-  ONCE (zero-copy Arrow in the object store); each *worker process* maps it
-  on first use and builds a key→row-index dict, cached at module level —
-  Ray worker processes persist across tasks and rounds, so the index is
-  built once per worker, not per batch and not per round;
+  ONCE (zero-copy Arrow in the object store) with its sorted key index
+  (``CorpusIndex``); each *worker process* maps both on first use, cached
+  at module level — Ray worker processes persist across tasks and rounds;
 - **host-hash-partitioned** (the 100 TB design point — the whole corpus can
   never broadcast): ``ensure_partitioned_corpus`` writes the pages once as
   P Parquet partitions keyed by ``hash128(host) % P``; each fetch task
@@ -19,6 +18,10 @@ the frozen page corpus, in one of two layouts:
   repartitions each round's frontier on the same key so a task touches ~1
   partition. Per-row fetch semantics are identical — a pytest asserts the
   two layouts produce oracle-equal crawls.
+
+``fetch_pages`` fetches one frontier batch: the corpus lookup per
+partition run, the simulated status and latency per row, then the OK
+rows' HTML taken as one column for the batch extractor.
 
 Politeness / per-host budget (north-star feature; the reference has none —
 SURVEY §2.6 L1) lives here too: per-worker host clocks spacing fetches by
@@ -37,10 +40,11 @@ from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from raycrawl import sim
-from raycrawl.kernels import decode_html, extract_urls, host_of, normalize_urls_arrow
+from raycrawl.kernels import decode_html_col, host_of, normalize_urls_arrow
 
 STATUS_ROBOTS = 999
 
@@ -62,8 +66,6 @@ def build_fetch_corpus(corpus_dir: str) -> pa.Table:
 def corpus_key_strings(names, protos) -> "pa.Array":
     """Join (name, http_type) into the corpus lookup key string,
     vectorized ("\x00" cannot occur in either part)."""
-    import pyarrow.compute as pc
-
     return pc.binary_join_element_wise(names, protos, "\x00")
 
 
@@ -156,8 +158,6 @@ def get_corpus_index(corpus_ref):
 def _hosts_of_names(names: pa.Array) -> pa.Array:
     """Vectorized host projection: name up to the first ':' (the extractor
     only captures host(:port), so this is exact)."""
-    import pyarrow.compute as pc
-
     return pc.list_element(pc.split_pattern(names, ":", max_splits=1), 0)
 
 
@@ -299,28 +299,54 @@ def politeness_wait(host: str, delay_s: float) -> None:
     _HOST_CLOCK[host] = time.monotonic()
 
 
-def fetch_one(idx: int, html_col, name: str, proto: str, attempt: int,
-              politeness_delay_s: float = 0.0, respect_robots: bool = False,
-              want_html: bool = False):
-    """One simulated fetch+extract → (status, elapsed_ms, n_extracted,
-    sorted D1-deduped uppercased candidates, html|None). ``idx`` is the
-    corpus row for this URL (CorpusIndex.lookup, -1 = miss), precomputed
-    vectorized for the whole batch by the caller. Reference lifecycle:
-    fetch shared/src/crawler.rs:18-51, extract :55-60, D1
-    feeder/src/job.rs:286."""
-    host = host_of(name)
-    if respect_robots and robots_blocked(host):
-        return STATUS_ROBOTS, 0.0, 0, [], None
+def fetch_pages(fetcher, batch: pa.Table, khi: np.ndarray, klo: np.ndarray,
+                politeness_delay_s: float = 0.0,
+                respect_robots: bool = False):
+    """Simulated fetch of every frontier row in ``batch`` → ``(status,
+    elapsed_ms, page_row, pages)``: per-row HTTP status and latency, and the
+    decoded HTML of the OK rows as one string column with the batch row
+    each page belongs to. ``khi``/``klo`` are the rows' corpus-key hashes.
+
+    Status and latency stay per row: the simulator's per-URL hashes stand
+    in for the network (shared/src/crawler.rs:18-51), and so do robots and
+    the politeness clock. Rows are visited in (depth, name) order when
+    politeness is on (per-host queue order, north-star L1), partition-major
+    (stable) for a partitioned corpus, so each partition slot loads once."""
+    n = batch.num_rows
+    names = batch["name"].to_pylist()
+    protos = batch["http_type"].to_pylist()
+    attempts = batch["attempts"].to_pylist()
+    order = np.arange(n, dtype=np.int64)
     if politeness_delay_s > 0:
-        politeness_wait(host, politeness_delay_s)
-    status = sim.fetch_status(name, proto, attempt, idx >= 0)
-    elapsed = sim.fetch_elapsed_ms(name, proto)
-    if status != sim.STATUS_OK:
-        return status, elapsed, 0, [], None
-    html = decode_html(html_col[idx].as_py())
-    raw = extract_urls(html)
-    # D1: per-page HashSet of uppercased URLs (job.rs:286); sorted for
-    # determinism — downstream is set-semantics.
-    return status, elapsed, len(raw), sorted({u.upper() for u in raw}), (
-        html if want_html else None
-    )
+        order = pc.sort_indices(
+            pa.table({"d": batch["depth"], "n": batch["name"]}),
+            sort_keys=[("d", "ascending"), ("n", "ascending")]
+        ).to_numpy().astype(np.int64)
+    parts = fetcher.batch_parts(batch["name"])  # None for broadcast
+    if parts is not None:
+        order = order[np.argsort(parts[order], kind="stable")]
+    pvals = parts[order] if parts is not None else np.zeros(n, np.int64)
+    status = np.zeros(n, dtype=np.int64)
+    elapsed = np.zeros(n, dtype=np.float64)
+    page_rows, htmls = [np.empty(0, np.int64)], []
+    bounds = np.append(np.flatnonzero(np.diff(pvals)) + 1, n)
+    for start, end in zip(np.append(0, bounds[:-1]), bounds[bounds > 0]):
+        rows = order[start:end]
+        index, html_col = fetcher.slot(int(pvals[start]))
+        hit = index.lookup(khi[rows], klo[rows])
+        for i, idx in zip(rows.tolist(), hit.tolist()):
+            host = host_of(names[i])
+            if respect_robots and robots_blocked(host):
+                status[i] = STATUS_ROBOTS
+                continue
+            if politeness_delay_s > 0:
+                politeness_wait(host, politeness_delay_s)
+            status[i] = sim.fetch_status(names[i], protos[i],
+                                         int(attempts[i] or 0) + 1, idx >= 0)
+            elapsed[i] = sim.fetch_elapsed_ms(names[i], protos[i])
+        ok = status[rows] == sim.STATUS_OK
+        page_rows.append(rows[ok])
+        htmls.extend(html_col.take(pa.array(hit[ok])).chunks)
+    pages = (decode_html_col(pa.concat_arrays(htmls)) if htmls
+             else pa.array([], pa.string()))
+    return status, elapsed, np.concatenate(page_rows), pages

@@ -15,10 +15,15 @@ per-job pipeline (feeder/src/job.rs:263-351):
 
 ``fetch_expand`` is a stateless *task* stage: its heavy setup (corpus
 index, DNS cache) is cached per worker process (see fetch.py), so repeated
-per-round executions pay no actor-pool spin-up. Node dedup lives in the
-SeenShard actors (hash(node_id)-routed offers; min-depth winner; committed
-at the driver's round barrier) — the actor RPC is the round's only
-shuffle.
+per-round executions pay no actor-pool spin-up. Only the simulated fetch
+runs per row (``fetch.fetch_pages``); the rest works on the batch's
+columns: one polars link extraction and per-page uppercased set over the
+OK pages' HTML (``kernels.extract_link_sets``), one ``hash128`` per key
+column (J1 candidates, child ids, parent ids — each hashed once), and DNS
+once per distinct name. Node dedup lives in the SeenShard actors
+(hash(node_id)-routed offers; min-(depth, parent hash) winner; merged and
+committed at the driver's round barrier) — the actor RPC is the round's
+only shuffle.
 
 Edge rows need no cross-batch dedup within a round: a parent's children
 are a set (within-job normalized dedup), and every (src, dst) pair is
@@ -34,12 +39,14 @@ training-data crawl runs at fetch time, attached to the parent row.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
-from raycrawl import sim
-from raycrawl.fetch import STATUS_ROBOTS, fetch_one, get_fetcher
-from raycrawl.kernels import hash128, normalize_url
+from raycrawl import dns_synth, sim
+from raycrawl.fetch import STATUS_ROBOTS, get_fetcher
+from raycrawl.kernels import hash128
 from raycrawl.seen import SeenRouter
 
 ROUND_OUT_SCHEMA = pa.schema(
@@ -107,13 +114,9 @@ _DNS_CACHE: dict[tuple[str, int], tuple[str, str] | None] = {}
 
 def _dns(name: str, max_depth: int):
     k = (name, max_depth)
-    v = _DNS_CACHE.get(k, "?")
-    if v == "?":
-        from raycrawl import dns_synth
-
-        v = dns_synth.get_network_stats(name, max_depth)
-        _DNS_CACHE[k] = v
-    return v
+    if k not in _DNS_CACHE:
+        _DNS_CACHE[k] = dns_synth.get_network_stats(name, max_depth)
+    return _DNS_CACHE[k]
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +140,17 @@ _TOKEN_PAT = r"[^\s\x1c-\x1f]+"
 _WORD_PAT = r"[\p{L}\p{N}_]+"
 
 
-def _token_hashes(tokens: list[str]) -> np.ndarray:
-    from raycrawl.kernels import token_hash64
+@functools.cache
+def _lang_grams():
+    """The language-hint languages, their distinct grams, and a (gram ×
+    language) count matrix: a language's score sums its grams' counts."""
+    from raycrawl.textops import _LANG_HINTS
 
-    return token_hash64(tokens)
+    langs = [lang for lang, grams in _LANG_HINTS.items() if grams]
+    grams = list(dict.fromkeys(g for lang in langs for g in _LANG_HINTS[lang]))
+    w = np.array([[_LANG_HINTS[lang].count(g) for lang in langs]
+                  for g in grams], dtype=np.float64)
+    return langs, grams, w
 
 
 def enrich_page(html_text: str) -> dict:
@@ -151,6 +161,7 @@ def enrich_page(html_text: str) -> dict:
     _MAX_TOKENS tokens, language ID over the first _LANGID_CHARS chars —
     standard practice for per-page featurization, and it bounds the memory
     traffic per page (full-text rescans were the throughput ceiling)."""
+    from raycrawl.kernels import token_hash64
     from raycrawl.textops import _LANG_HINTS, STOPWORDS, WORD_RE
 
     text = _TAG_RE.sub("", html_text)
@@ -165,7 +176,7 @@ def enrich_page(html_text: str) -> dict:
     quality = 0.5 * min(stop_ratio / 0.4, 1.0) + 0.5 * min(mean_wl / 8.0, 1.0)
 
     if window:
-        th = _token_hashes(window)
+        th = token_hash64(window)
         bits = np.unpackbits(th.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
         acc = (2 * bits.astype(np.int32) - 1).sum(axis=0)
         sim_bits = np.packbits((acc > 0).astype(np.uint8), bitorder="little")
@@ -212,11 +223,12 @@ _FEAT_NAMES = ("n_tokens", "quality", "simhash", "fingerprint",
                "minhash0", "lang_pred")
 
 
-def enrich_pages(htmls: list) -> dict:
-    """Batched ``enrich_page``: value-identical per page (asserted by
-    pytest), returned as COLUMNS — ``{feature: object ndarray aligned with
-    htmls}`` with ``None`` where ``htmls[i] is None`` — so the round
-    assembly feeds Arrow directly instead of re-pivoting 10^6 dicts.
+def enrich_pages(htmls) -> dict:
+    """Batched ``enrich_page`` over a list or Arrow string column of pages:
+    value-identical per page (asserted by pytest), returned as COLUMNS —
+    ``{feature: object ndarray aligned with htmls}`` with ``None`` where
+    ``htmls[i]`` is null — so the round assembly feeds Arrow directly
+    instead of re-pivoting 10^6 dicts.
 
     Fully vectorized: tag-strip / tokenize / window / quality / langid run
     as polars column ops (``_TOKEN_PAT``/``_WORD_PAT`` tokenize as the
@@ -228,17 +240,18 @@ def enrich_pages(htmls: list) -> dict:
     import polars as pl
 
     from raycrawl.dedup import _MERSENNE, _PERM_A, _PERM_B
-    from raycrawl.textops import _LANG_HINTS, STOPWORDS
+    from raycrawl.textops import STOPWORDS
 
+    if not isinstance(htmls, pa.Array):
+        htmls = pa.array(htmls, pa.string())
     n = len(htmls)
     out = {k: np.full(n, None, dtype=object) for k in _FEAT_NAMES}
-    idxs = np.array([i for i in range(n) if htmls[i] is not None],
-                    dtype=np.int64)
+    idxs = np.flatnonzero(htmls.is_valid().to_numpy(zero_copy_only=False))
     m = len(idxs)
     if m == 0:
         return out
 
-    s = pl.Series([htmls[int(i)] for i in idxs], dtype=pl.String)
+    s = pl.from_arrow(htmls.drop_null())
     text = s.str.replace_all(_TAG_RE.pattern, "")
     toks = text.str.extract_all(_TOKEN_PAT)
     n_tok = toks.list.len().to_numpy().astype(np.int64)
@@ -263,17 +276,21 @@ def enrich_pages(htmls: list) -> dict:
                + 0.5 * np.minimum(mean_wl / 8.0, 1.0))
 
     # langid over the first _LANGID_CHARS chars (slice THEN lowercase,
-    # like the scalar), np.argmax first-max == dict-order tie-break
+    # like the scalar): one overlapping Aho-Corasick pass finds every gram
+    # (exact, see textops._LANG_HINTS), then per-page gram counts →
+    # per-language scores; np.argmax first-max == dict-order tie-break
+    langs, grams, lang_w = _lang_grams()
     low = text.str.slice(0, _LANGID_CHARS).str.to_lowercase()
     denom = low.str.len_chars().to_numpy().astype(np.float64) + 1.0
-    hint_langs = [lang for lang, grams in _LANG_HINTS.items() if grams]
-    scores = np.empty((m, len(hint_langs)), dtype=np.float64)
-    for j, lang in enumerate(hint_langs):
-        cnt = np.zeros(m, dtype=np.int64)
-        for g in _LANG_HINTS[lang]:
-            cnt += low.str.count_matches(g, literal=True).to_numpy().astype(np.int64)
-        scores[:, j] = cnt / denom
-    lang_pred = np.array(hint_langs, dtype=object)[np.argmax(scores, axis=1)]
+    found = low.str.extract_many(grams, overlapping=True)
+    gram_ix = (found.explode(empty_as_null=False).drop_nulls()
+               .replace_strict(grams, range(len(grams)),
+                               return_dtype=pl.Int64).to_numpy())
+    per_gram = np.bincount(
+        np.repeat(np.arange(m), found.list.len().to_numpy()) * len(grams)
+        + gram_ix, minlength=m * len(grams)).reshape(m, len(grams))
+    scores = per_gram @ lang_w / denom[:, None]
+    lang_pred = np.array(langs, dtype=object)[np.argmax(scores, axis=1)]
 
     flat = window.explode(empty_as_null=False).drop_nulls()
     if len(flat):
@@ -419,107 +436,65 @@ def fetch_expand_batch(
     retry budget, no-new → COMPLETED, all-DNS-dropped → FAILED). Children
     are offered to their hash(node_id) shard for the J2 MERGE at the round
     barrier.
+
+    Only the simulated fetch runs per row (``fetch.fetch_pages``); every
+    later step runs over the batch's columns: one link extraction over the
+    OK pages' HTML, one ``hash128`` per key column, DNS once per distinct
+    name, and mask algebra for the parent statuses.
     """
-    fetcher = get_fetcher(corpus_ref)
-    parts_arr = fetcher.batch_parts(batch["name"])  # None for broadcast
-    router = SeenRouter(seen_handles)
-    n = batch.num_rows
-    names = batch["name"].to_pylist()
-    protos = batch["http_type"].to_pylist()
-    depths = batch["depth"].to_pylist()
-    reqd = batch["requested_depth"].to_pylist()
-    attempts = batch["attempts"].to_pylist()
-    crawl_ids = batch["crawl_id"].to_pylist()
-
-    order = list(range(n))
-    if politeness_delay_ms > 0:
-        # priority: (depth, name) — per-host queue order (north-star L1)
-        order.sort(key=lambda i: (depths[i], names[i]))
-    if parts_arr is not None:
-        # partitioned corpus: visit rows partition-major (stable, so the
-        # politeness priority survives within a partition) — one LRU slot
-        # load per touched partition instead of thrash
-        order.sort(key=lambda i: parts_arr[i])
-
-    from raycrawl.fetch import corpus_key_strings
-
     import os as _os
     import time as _time
 
+    import pyarrow.compute as pc
+
+    from raycrawl.fetch import corpus_key_strings, fetch_pages
+    from raycrawl.kernels import extract_link_sets, normalize_urls_arrow
+
+    router = SeenRouter(seen_handles)
+    n = batch.num_rows
+    if n == 0:
+        return ROUND_OUT_SCHEMA.empty_table()
+    col = {c: batch[c].combine_chunks() for c in
+           ("crawl_id", "name", "http_type", "depth", "requested_depth")}
+    pid_col = pc.binary_join_element_wise(col["http_type"], col["name"], "")
+
     _tr = bool(_os.environ.get("RAYCRAWL_TRACE_DIR"))
     _t = _time.perf_counter()
-    khi, klo = hash128(corpus_key_strings(batch["name"], batch["http_type"]))
-    # corpus-row lookup for the whole batch, vectorized one partition-run
-    # at a time (order is partition-major, so each slot loads exactly once)
-    row_idx = np.full(n, -1, dtype=np.int64)
-    order_arr = np.asarray(order, dtype=np.int64)
-    if len(order_arr):
-        pvals = (parts_arr[order_arr] if parts_arr is not None
-                 else np.zeros(len(order_arr), dtype=np.int64))
-        bounds = np.append(np.flatnonzero(np.diff(pvals)) + 1, len(pvals))
-        start = 0
-        for end in bounds:
-            rows = order_arr[start:end]
-            index, _ = fetcher.slot(int(pvals[start]))
-            row_idx[rows] = index.lookup(khi[rows], klo[rows])
-            start = int(end)
-    fetched = [None] * n
-    pages = None                 # set by enrich_pages when enrich is on
-    cur_part, html_col = None, None
-    for i in order:
-        p = int(parts_arr[i]) if parts_arr is not None else 0
-        if p != cur_part:
-            _, html_col = fetcher.slot(p)
-            cur_part = p
-        attempt = int(attempts[i] or 0) + 1
-        fetched[i] = fetch_one(
-            int(row_idx[i]), html_col, names[i], protos[i], attempt,
-            politeness_delay_s=politeness_delay_ms / 1000.0,
-            respect_robots=respect_robots,
-            want_html=enrich,
-        )
+    khi, klo = hash128(corpus_key_strings(col["name"], col["http_type"]))
+    status_np, elapsed_all, page_row, pages = fetch_pages(
+        get_fetcher(corpus_ref), batch, khi, klo,
+        politeness_delay_s=politeness_delay_ms / 1000.0,
+        respect_robots=respect_robots)
+    page_of, cand = extract_link_sets(pages)
+    parent_of = page_row[page_of]
     if _tr:
         _t = _trace_mark("fetch_loop", _t)
     if enrich:
-        pages = enrich_pages([f[4] for f in fetched])
+        # batch row → its page, null where the row fetched no page
+        pos = np.full(n, -1, dtype=np.int64)
+        pos[page_row] = np.arange(len(page_row))
+        feat_cols = enrich_pages(pages.take(pa.array(pos, mask=pos < 0)))
+    else:
+        feat_cols = {k: [None] * n for k in _FEAT_NAMES}
     if _tr:
         _t = _trace_mark("enrich", _t)
 
     # J1 for the whole batch in one vectorized membership query
-    flat: list[str] = []
-    for i in range(n):
-        flat.extend(fetched[i][3])
-    if flat:
-        hi, lo = hash128(flat)
-        seen_mask = router.contains(hi, lo)
-    else:
-        seen_mask = np.empty(0, dtype=bool)
+    hi, lo = hash128(cand)
+    seen_mask = router.contains(hi, lo) if len(cand) else np.empty(0, bool)
     if _tr:
         _t = _trace_mark("j1_contains", _t)
 
-    # ---- children, fully vectorized (the per-CHILD volume is branching ×
-    # the per-PARENT volume, so no Python work may scale with it) ----
-    # normalize + per-parent dedup + DNS-drop of the unseen candidates;
-    # parent statuses then need only the per-parent counts.
-    import pyarrow.compute as pc_
-
-    counts = np.array([len(f[3]) for f in fetched], dtype=np.int64)
-    parent_of = np.repeat(np.arange(n, dtype=np.int64), counts)
-    unseen_idx = (np.flatnonzero(~seen_mask) if len(seen_mask)
-                  else np.empty(0, dtype=np.int64))
-    n_new = (np.bincount(parent_of[unseen_idx], minlength=n)
-             if len(unseen_idx) else np.zeros(n, dtype=np.int64))
-
-    child_tbl = None
+    # ---- children: normalize + per-parent dedup + DNS-drop of the unseen
+    # candidates; parent statuses then need only the per-parent counts ----
+    unseen_idx = np.flatnonzero(~seen_mask)
+    n_new = np.bincount(parent_of[unseen_idx], minlength=n)
     n_children = np.zeros(n, dtype=np.int64)
+    offer_refs = []
     if len(unseen_idx):
-        from raycrawl.kernels import normalize_urls_arrow
-
-        flat_arr = pa.array(flat, pa.string())
-        cand_arr = flat_arr.take(pa.array(unseen_idx))
         parent_sub = parent_of[unseen_idx]
-        cnames, cprotos = normalize_urls_arrow(cand_arr)
-        node_ids_c = pc_.binary_join_element_wise(cprotos, cnames, "")
+        cnames, cprotos = normalize_urls_arrow(cand.take(pa.array(unseen_idx)))
+        node_ids_c = pc.binary_join_element_wise(cprotos, cnames, "")
         chi, clo = hash128(node_ids_c)
         # per-parent normalized dedup (set semantics): group-first over
         # (parent, key128)
@@ -529,61 +504,54 @@ def fetch_expand_batch(
         gfirst[1:] = ((spar[1:] != spar[:-1]) | (shi2[1:] != shi2[:-1])
                       | (slo2[1:] != slo2[:-1]))
         didx = gorder[gfirst]
-        dpar = parent_sub[didx]
-        # DNS per deduped candidate (per-worker cache; dropped on failure,
-        # job.rs:325-329)
-        dnames = cnames.take(pa.array(didx)).to_pylist()
-        ip_list: list = []
-        dom_list: list = []
-        keep = np.ones(len(didx), dtype=bool)
-        for j, nm in enumerate(dnames):
-            st = _dns(nm, max_dns_depth)
-            if st is None:
-                keep[j] = False
-            else:
-                dom_list.append(st[0])
-                ip_list.append(st[1])
-        kmask = keep
-        kidx = didx[kmask]
-        kpar = dpar[kmask]
+        # DNS once per distinct name (per-worker cache); a failed
+        # resolution drops the candidate (job.rs:325-329)
+        denc = cnames.take(pa.array(didx)).dictionary_encode()
+        stats = [_dns(nm, max_dns_depth) for nm in denc.dictionary.to_pylist()]
+        resolved = np.array([st is not None for st in stats], dtype=bool)
+        codes = denc.indices.to_numpy(zero_copy_only=False)
+        keep = resolved[codes]
+        kidx = didx[keep]
+        kpar = parent_sub[kidx]
+        kcodes = pa.array(codes[keep])
         n_children = np.bincount(kpar, minlength=n)
         if len(kidx):
             sel = pa.array(kidx)
             cpidx = pa.array(kpar)
-            pids_arr = pc_.binary_join_element_wise(
-                batch["http_type"].combine_chunks(),
-                batch["name"].combine_chunks(), ""
-            )
-            elapsed_np = np.array([f[1] for f in fetched], dtype=np.float64)
+            phash, _ = hash128(pid_col)
             child_tbl = pa.table(
                 {
-                    "crawl_id": batch["crawl_id"].combine_chunks().take(cpidx),
+                    "crawl_id": col["crawl_id"].take(cpidx),
                     "name": cnames.take(sel),
                     "http_type": cprotos.take(sel),
                     "node_id": node_ids_c.take(sel),
-                    "depth": pc_.add(
-                        batch["depth"].combine_chunks().take(cpidx),
-                        pa.scalar(1, pa.int32()),
-                    ).cast(pa.int32()),
-                    "requested_depth":
-                        batch["requested_depth"].combine_chunks().take(cpidx),
-                    "ip": pa.array(ip_list, pa.string()),
-                    "domain": pa.array(dom_list, pa.string()),
-                    "request_time_ms": pa.array(elapsed_np[kpar], pa.float64()),
-                    "parent_id": pids_arr.take(cpidx),
+                    "depth": pc.add(col["depth"].take(cpidx),
+                                    pa.scalar(1, pa.int32())).cast(pa.int32()),
+                    "requested_depth": col["requested_depth"].take(cpidx),
+                    "ip": pa.array([st and st[1] for st in stats],
+                                   pa.string()).take(kcodes),
+                    "domain": pa.array([st and st[0] for st in stats],
+                                       pa.string()).take(kcodes),
+                    "request_time_ms": pa.array(elapsed_all[kpar], pa.float64()),
+                    "parent_id": pid_col.take(cpidx),
+                    "phash": pa.array(phash[kpar], pa.uint64()),
                 }
             )
+            # every child row ships to its shard: the shard both resolves
+            # node winners AND writes the round's edge partition (each row
+            # is a Lead edge). Fired now, awaited at the end — overlaps actor
+            # processing with output assembly; the round barrier stays
+            # correct because the task doesn't finish until the refs
+            # resolve. The salt is the task identity for the shard's replay
+            # guard: identical on a Ray task retry, distinct across tasks.
+            offer_refs = router.offer(chi[kidx], clo[kidx], child_tbl,
+                                      offer_salt(khi))
 
-    # ---- parent lifecycle rows, fully vectorized (one per frontier
-    # row; the per-row Python loop here measured ~27% of total task time
-    # at 2.1M parents — status resolution is mask algebra, every column
-    # is either reused zero-copy from the input batch or built in one
-    # pa.array call) ----
-    status_np = np.array([f[0] for f in fetched], dtype=np.int64)
-    elapsed_all = np.array([f[1] for f in fetched], dtype=np.float64)
-    att_in = np.array([int(a or 0) for a in attempts], dtype=np.int64)
-    attempt_np = att_in + 1
-
+    # ---- parent lifecycle rows (one per frontier row): status resolution
+    # is mask algebra; every column is reused from the input batch or
+    # built in one pa.array call ----
+    attempt_np = (batch["attempts"].fill_null(0).to_numpy()
+                  .astype(np.int64) + 1)
     ok = status_np == sim.STATUS_OK
     robots = status_np == STATUS_ROBOTS
     permanent = ((status_np >= sim.PERMANENT_FAILURE_LO)
@@ -600,27 +568,18 @@ def fetch_expand_batch(
     # error; COMPLETED stores the old counter -- job.rs:104-121)
     att_np = np.where(ok | robots, attempt_np - 1, attempt_np)
 
-    if enrich:
-        feat_cols = pages                      # columns already (object ndarrays)
-    else:
-        feat_cols = {k: [None] * n for k in _FEAT_NAMES}
-
-    pid_col = pc_.binary_join_element_wise(
-        batch["http_type"].combine_chunks(),
-        batch["name"].combine_chunks(), "")
-    empty_str = pa.array([""] * n, pa.string())
+    empty_str = pa.array(np.full(n, ""), pa.string())
     parents_tbl = pa.table(
         {
-            "row_type": pa.array(["parent"] * n, pa.string()),
-            "crawl_id": batch["crawl_id"].combine_chunks(),
-            "name": batch["name"].combine_chunks(),
-            "http_type": batch["http_type"].combine_chunks(),
+            "row_type": pa.array(np.full(n, "parent"), pa.string()),
+            "crawl_id": col["crawl_id"],
+            "name": col["name"],
+            "http_type": col["http_type"],
             "node_id": pid_col,
-            "depth": batch["depth"].combine_chunks().cast(pa.int32()),
-            "requested_depth":
-                batch["requested_depth"].combine_chunks().cast(pa.int32()),
+            "depth": col["depth"].cast(pa.int32()),
+            "requested_depth": col["requested_depth"].cast(pa.int32()),
             "attempts": pa.array(att_np, pa.int32()),
-            "status": pa.array(pstat.tolist(), pa.string()),
+            "status": pa.array(pstat, pa.string()),
             "ip": empty_str,
             "domain": empty_str,
             "request_time_ms": pa.array(elapsed_all, pa.float64()),
@@ -635,33 +594,12 @@ def fetch_expand_batch(
             "lang_pred": pa.array(feat_cols["lang_pred"], pa.string()),
         },
         schema=ROUND_OUT_SCHEMA,
-    ) if n else None
-
-    offer_refs = []
-    if child_tbl is not None:
-        ohi, olo = hash128(child_tbl["node_id"])
-        phash, _ = hash128(child_tbl["parent_id"])
-        child_tbl = child_tbl.append_column("phash", pa.array(phash, pa.uint64()))
-        # task-identity salt for the shard replay guard (ADVICE r2):
-        # identical on a Ray task retry, distinct across tasks (frontier
-        # rows are round-unique winners, so two tasks' row sets differ)
-        salt = offer_salt(khi)
-        # every child row ships to its shard: the shard both resolves node
-        # winners AND writes the round's edge partition (each row is a Lead
-        # edge). Fired now, awaited at the end — overlaps actor processing
-        # with output assembly; the round barrier stays correct because the
-        # task doesn't finish until the refs resolve.
-        offer_refs = router.offer(ohi, olo, child_tbl, salt)
-
+    )
     if _tr:
         _t = _trace_mark("assemble", _t)
-    tables = []
-    if parents_tbl is not None:
-        tables.append(parents_tbl)
     # child rows do NOT go into round_out: they travel to the shards, which
     # write the nodes delta AND the round's edge partitions at the barrier.
     # round_out = parent lifecycle rows only (frontier-sized).
-
     if offer_refs:
         import ray
 
@@ -669,7 +607,4 @@ def fetch_expand_batch(
     if _tr:
         _trace_mark("offer_wait", _t)
         _trace_flush(n)
-
-    if not tables:
-        return ROUND_OUT_SCHEMA.empty_table()
-    return pa.concat_tables(tables)
+    return parents_tbl

@@ -24,9 +24,16 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 # Same pattern as the Rust `regex` crate literal (shared/src/crawler.rs:9).
-# Python `re` and Rust `regex` agree on this pattern: `\w` is Unicode-aware
-# in both, `(?::\d+)?` is an optional non-capturing port group.
+# The rebuild extracts what Python `re` extracts with it, because the
+# single-process oracle (oracle.py) is the parity target. Rust's `\w` is not
+# Python's: it also takes combining marks and connector punctuation such as
+# U+203F, and it lacks `No` digits such as "²". See ``extract_link_sets``.
 URL_RE = re.compile(r"https?://[\w\-.]+(?::\d+)?")
+# The batch extractor's spelling of URL_RE for polars (Rust `regex`). Its
+# classes hold every character Python's `\w`/`\d` hold, equal them on
+# ASCII, and differ only on code points that Python's Unicode tables leave
+# unassigned (checked exhaustively on 3.11 / Unicode 14).
+LINK_PAT = r"https?://[\p{L}\p{N}_\-.]+(?::\d+)?"
 
 
 def extract_urls(html: str) -> list[str]:
@@ -47,6 +54,47 @@ def decode_html(html: bytes | str) -> str:
     if isinstance(html, str):
         return html
     return html.decode("utf-8", errors="replace")
+
+
+def decode_html_col(html: pa.Array) -> pa.Array:
+    """``decode_html`` over a binary column: one Arrow cast when every page
+    is valid UTF-8, else a per-page decode with replacement."""
+    try:
+        return html.cast(pa.string())
+    except pa.ArrowInvalid:
+        return pa.array([decode_html(h) for h in html.to_pylist()], pa.string())
+
+
+def extract_link_sets(pages: pa.Array) -> tuple[np.ndarray, pa.Array]:
+    """Batched M1 extract + D1 per-page uppercased set (job.rs:286) over a
+    string column of pages → ``(page, url)``: for each page ``i``, the urls
+    where ``page == i`` are exactly ``{u.upper() for u in
+    extract_urls(pages[i])}``, in no particular order.
+
+    One polars ``extract_all`` with ``LINK_PAT`` and one list expression
+    (uppercase, unique) cover the batch. A page on which any match holds a
+    non-ASCII character is extracted again by the scalar ``extract_urls``
+    and ``str.upper``: there polars' wider classes may have matched an
+    unassigned code point, and its uppercase mapping (ƛ, U+019B) is not
+    Python's. On an all-ASCII match the two regex dialects take the same
+    span, so every other page is exact as it stands."""
+    links = pl.from_arrow(pages).str.extract_all(LINK_PAT)
+    odd = np.flatnonzero(~pc.string_is_ascii(links.list.join("").to_arrow())
+                         .to_numpy(zero_copy_only=False))
+    sets = links.list.eval(pl.element().str.to_uppercase()).list.unique(
+        maintain_order=True)
+    page = np.repeat(np.arange(len(sets), dtype=np.int64),
+                     sets.list.len().to_numpy())
+    urls = pc.cast(sets.explode(empty_as_null=False).drop_nulls().to_arrow(),
+                   pa.string())
+    if len(odd):
+        keep = ~np.isin(page, odd)
+        fix = [(i, u) for i in odd.tolist() for u in sorted(
+            {u.upper() for u in extract_urls(pages[i].as_py())})]
+        page = np.append(page[keep], [i for i, _ in fix]).astype(np.int64)
+        urls = pa.concat_arrays([urls.filter(pa.array(keep)),
+                                 pa.array([u for _, u in fix], pa.string())])
+    return page, urls
 
 
 def normalize_url(url: str) -> tuple[str, str]:
@@ -103,12 +151,6 @@ def _normalize_ascii_arrow(urls: pa.Array) -> tuple[pa.Array, pa.Array]:
     has_www = pc.starts_with(stripped, "WWW.")
     names = pc.if_else(has_www, pc.utf8_slice_codeunits(stripped, 4), stripped)
     return names, protos
-
-
-def full_url(name, http_type):
-    """``http_type + name`` — node id / refetch URL (feeder/src/job.rs:103,
-    manager graph export graph_service.rs:31,60)."""
-    return http_type + name
 
 
 def host_of(name: str) -> str:

@@ -27,6 +27,8 @@ Design (the 10^10-URL design point, tested at small scale):
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def pack_keys(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -291,6 +293,19 @@ def make_backend(kind: str, expected_keys: int = 1_000_000, bits_per_key: int = 
     raise ValueError(f"unknown seen backend {kind!r}")
 
 
+def _group_first(khi, klo, phash, depth):
+    """One winner row per 128-bit key → ``(win, arrival)``: each key's row
+    with the least (depth, phash), the earliest row among ties, and the
+    index of the key's earliest row. One lexsort by (khi, klo, depth,
+    phash); np.lexsort is stable, so equal ranks keep row order."""
+    order = np.lexsort((phash, depth, klo, khi))
+    shi, slo = khi[order], klo[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (shi[1:] != shi[:-1]) | (slo[1:] != slo[:-1])
+    starts = np.flatnonzero(first)
+    return order[starts], np.minimum.reduceat(order, starts)
+
+
 class SeenShardImpl:
     """One shard of the crawl-scoped URL-seen set + the J2 MERGE role (plain
     class; wrapped in a Ray actor by the driver via
@@ -300,18 +315,26 @@ class SeenShardImpl:
     Besides membership, the shard is the **node-dedup authority** for its
     key range: during a round, fetch tasks ``offer`` candidate child rows
     (routed by ``hash(node_id) % S``); the shard keeps, per node_id, the
-    min-(depth, parent_id) winner — the deterministic stand-in for MERGE's
-    racy first-writer ON CREATE (feeder/src/job.rs:180-186; SURVEY §7.4
-    min-depth BFS property). At the round barrier ``commit_round`` drops
+    min-(depth, hash64(parent_id)) winner, first arrival breaking a tie —
+    the deterministic stand-in for MERGE's racy first-writer ON CREATE
+    (feeder/src/job.rs:180-186; SURVEY §7.4 min-depth BFS property). At
+    the round barrier ``commit_round`` drops
     winners whose id is already committed (ON CREATE skipped), assigns the
     born status (leaf short-circuit M6, job.rs:182), folds the new ids into
     the committed set, and writes its own nodes-delta Parquet shard — the
     actor RPC *is* the shuffle, and the write is distributed (no driver
     funnel)."""
 
-    # winner payload tuple layout (order matters for commit_round)
-    _PAYLOAD_COLS = ("crawl_id", "name", "http_type", "node_id", "depth",
-                     "requested_depth", "ip", "domain", "request_time_ms")
+    # one buffered winner row per (offer, key): the payload the nodes delta
+    # keeps, plus the 128-bit key and the parent hash that rank it
+    _BUF_SCHEMA = pa.schema([
+        ("crawl_id", pa.string()), ("name", pa.string()),
+        ("http_type", pa.string()), ("node_id", pa.string()),
+        ("depth", pa.int32()), ("requested_depth", pa.int32()),
+        ("ip", pa.string()), ("domain", pa.string()),
+        ("request_time_ms", pa.float64()),
+        ("khi", pa.uint64()), ("klo", pa.uint64()), ("phash", pa.uint64()),
+    ])
 
     def __init__(self, shard_id: int, backend: str = "set",
                  expected_keys: int = 1_000_000, bits_per_key: int = 12):
@@ -326,13 +349,15 @@ class SeenShardImpl:
         self._round_no = 0
         self._seed_id = ""
         self._nodes_path = None
-        # winner tracking: (khi, klo) -> (depth, phash, row dict). Bounded
-        # by the shard's NEW-node count, not by offer volume.
-        self._winners: dict = {}
+        # each applied offer's per-key winner rows (_BUF_SCHEMA), in arrival
+        # order: a row's position in their concatenation is its arrival
+        # sequence. commit_round merges them.
+        self._offered: list = []
+        self._offered_rows = 0
         # replay guard: content keys of offers already applied this round.
-        # offer() is called from inside retryable map_batches tasks — on a
-        # task retry the replayed offers must not re-append edge rows (the
-        # edge buffer is append-only; _finalize assumes non-seed edges are
+        # offer() is called from inside retryable fetch tasks — on a task
+        # retry the replayed offers must not re-append edge rows (the edge
+        # buffer is append-only; _finalize assumes non-seed edges are
         # globally distinct). One small tuple per offer slice per round.
         self._offer_keys: set = set()
 
@@ -365,11 +390,10 @@ class SeenShardImpl:
         self._seed_id = seed_id
         self._edge_buf, self._edge_buf_rows, self._edge_count = [], 0, 0
         self._seed_rows = []
-        self._winners = {}
+        self._offered, self._offered_rows = [], 0
         self._offer_keys = set()
 
     def _flush_edges(self, force: bool = False) -> None:
-        import pyarrow as pa
         import pyarrow.parquet as pq
 
         if self._edge_buf_rows == 0 or (not force and self._edge_buf_rows < 262_144):
@@ -386,23 +410,24 @@ class SeenShardImpl:
         1. its rows ARE Lead edges (MERGE (p)-[:Lead]->(c), job.rs:185) —
            appended to this shard's edge partition incrementally (seed-src
            rows diverted, see crawl._finalize);
-        2. winner tracking per node key — min (depth, hash64(parent_id)) —
-           updated against a dict bounded by the shard's new-node count.
+        2. its winner per node key — min (depth, hash64(parent_id)) — is
+           appended, as Arrow rows, to the round's offer buffer.
 
-        No per-round buffering of the full offer stream: memory stays
-        O(new nodes + edge write buffer) regardless of offer volume.
+        No Python work per key: the offer is one lexsort and one take. The
+        buffer holds one row per distinct key of each offer, so a round's
+        memory is O(sum over its offers of their distinct keys) — at most
+        the round's rows offered to this shard, 165 B of Arrow per row on
+        the benchmark's corpus — plus the edge write buffer. Returns the
+        buffered row count.
         """
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
         n = table.num_rows
         if n == 0:
-            return 0
+            return self._offered_rows
         # --- replay guard (task-retry idempotency) ---
         # Fold the slice's deterministic key columns into an order-
         # independent 192-bit content key, SALTED with the sending task's
         # identity (a retry-stable fold over the task's own frontier rows,
-        # frontier.py `_offer_salt`): only a Ray task retry replaying a
+        # frontier.py `offer_salt`): only a Ray task retry replaying a
         # slice that already landed can repeat the (salt, content) pair —
         # two different tasks that legitimately offer identical content
         # (e.g. duplicated frontier rows) carry different salts and both
@@ -419,7 +444,7 @@ class SeenShardImpl:
         okey = (int(salt), n, int(np.bitwise_xor.reduce(mix)),
                 int(mix.sum(dtype=np.uint64)))
         if okey in self._offer_keys:
-            return len(self._winners)
+            return self._offered_rows
         self._offer_keys.add(okey)
         # --- edges ---
         edges = pa.table(
@@ -428,7 +453,7 @@ class SeenShardImpl:
                 "src": table["parent_id"],
                 "dst": table["node_id"],
                 "depth": table["depth"].cast(pa.int32()),
-                "round": pa.array([self._round_no] * n, pa.int32()),
+                "round": pa.array(np.full(n, self._round_no, np.int32)),
             },
             schema=self._edges_schema,
         )
@@ -441,47 +466,27 @@ class SeenShardImpl:
         self._edge_buf_rows += edges.num_rows
         self._flush_edges()
 
-        # --- winner tracking, vectorized: np.lexsort by (khi, klo, depth,
-        # phash) + group-first gives this OFFER's winner per key in C speed;
-        # only those rows (≈ distinct keys, not offer volume) are extracted
-        # to Python and merged against the dict ---
-        order = np.lexsort((phash, depth_np, klo, khi))
-        shi, slo = khi[order], klo[order]
-        first = np.ones(n, dtype=bool)
-        first[1:] = (shi[1:] != shi[:-1]) | (slo[1:] != slo[:-1])
-        w_idx = order[first]
-
-        whi = khi[w_idx].tolist()
-        wlo = klo[w_idx].tolist()
-        wdepth = depth_np[w_idx].tolist()
-        wphash = phash[w_idx].tolist()
-        W = self._winners
-        # pass 1 — rank-compare only (dict gets, no payload work): find the
-        # rows that actually improve the dict. In steady state most offered
-        # keys are already known or worse, so the expensive Arrow→Python
-        # payload extraction below touches ~new-winner rows, not offer
-        # volume.
-        improving = [
-            j for j in range(len(w_idx))
-            if (cur := W.get((whi[j], wlo[j]))) is None
-            or (wdepth[j], wphash[j]) < cur[0]
-        ]
-        if improving:
-            wt = table.take(pa.array(w_idx[np.asarray(improving)], pa.int64()))
-            wcols = [wt[name].to_pylist() for name in self._PAYLOAD_COLS]
-            for jj, j in enumerate(improving):
-                W[(whi[j], wlo[j])] = (
-                    (wdepth[j], wphash[j]), tuple(c[jj] for c in wcols)
-                )
-        return len(W)
+        # --- this offer's winner per key, buffered in key order ---
+        win, _ = _group_first(khi, klo, phash, depth_np)
+        won = table.take(pa.array(win)).select(
+            self._BUF_SCHEMA.names).cast(self._BUF_SCHEMA)
+        self._offered.append(won)
+        self._offered_rows += won.num_rows
+        return self._offered_rows
 
     def commit_round(self) -> dict:
-        """Round barrier: close the edge partition, resolve winners against
-        the committed set (ON CREATE skipped for known ids), fold new ids
-        in, write the nodes-delta parquet. Returns counts + seed rows."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
+        """Round barrier: close the edge partition, merge the round's offer
+        buffer into one winner per key, drop winners whose id is already
+        committed (ON CREATE skipped), fold the new ids in, and write the
+        nodes-delta parquet. Returns counts + seed rows.
+
+        The merge is ``_group_first`` over the whole buffer, whose row order
+        is arrival order: offers in the order they were applied, each
+        offer's keys in key order. New keys are written in first-arrival
+        order: by the first offer that held the key, then by key."""
         import pyarrow.parquet as pq
+
+        from raycrawl.frontier import NODES_SCHEMA
 
         self._flush_edges(force=True)
         if self._writer is not None:
@@ -489,53 +494,36 @@ class SeenShardImpl:
             self._writer = None
 
         new_count = 0
-        if self._winners:
-            keys = list(self._winners.keys())
-            hi = np.array([k[0] for k in keys], dtype=np.uint64)
-            lo = np.array([k[1] for k in keys], dtype=np.uint64)
-            exists = self._committed.contains(hi, lo)
-            fresh = [
-                (k, self._winners[k][1])
-                for k, e in zip(keys, exists)
-                if not e
-            ]
-            new_count = len(fresh)
-            if fresh:
-                self._committed.add(
-                    np.array([k[0] for k, _ in fresh], dtype=np.uint64),
-                    np.array([k[1] for k, _ in fresh], dtype=np.uint64),
-                )
-                from raycrawl.frontier import NODES_SCHEMA
-
-                rows = [r for _, r in fresh]
-                pidx = {name: i for i, name in enumerate(self._PAYLOAD_COLS)}
-                d_i, rq_i = pidx["depth"], pidx["requested_depth"]
-                cols = {}
-                for f in NODES_SCHEMA:
-                    if f.name == "node_type":
-                        cols[f.name] = pa.array(["URL"] * new_count, f.type)
-                    elif f.name == "status":
-                        cols[f.name] = pa.array(
-                            [
-                                "COMPLETED" if r[d_i] == r[rq_i] else "PENDING"
-                                for r in rows
-                            ],
-                            f.type,
-                        )
-                    elif f.name == "attempts":
-                        cols[f.name] = pa.array([0] * new_count, f.type)
-                    elif f.name == "round":
-                        cols[f.name] = pa.array([self._round_no] * new_count, f.type)
-                    elif f.name == "created_at":
-                        # ROOT-only property (neo4j-graph-model.md:13-23)
-                        cols[f.name] = pa.nulls(new_count, f.type)
-                    else:
-                        cols[f.name] = pa.array([r[pidx[f.name]] for r in rows], f.type)
+        if self._offered:
+            buf = pa.concat_tables(self._offered)
+            khi = buf["khi"].to_numpy()
+            klo = buf["klo"].to_numpy()
+            win, arrival = _group_first(khi, klo, buf["phash"].to_numpy(),
+                                        buf["depth"].to_numpy())
+            fresh = ~self._committed.contains(khi[win], klo[win])
+            win = win[fresh][np.argsort(arrival[fresh])]
+            new_count = len(win)
+            if new_count:
+                self._committed.add(khi[win], klo[win])
+                w = buf.take(pa.array(win))
+                leaf = pc.equal(w["depth"], w["requested_depth"])
+                cols = {
+                    "node_type": pa.array(np.full(new_count, "URL")),
+                    # leaf short-circuit M6 (job.rs:182)
+                    "status": pc.if_else(leaf, "COMPLETED", "PENDING"),
+                    "attempts": pa.array(np.zeros(new_count, np.int32)),
+                    "round": pa.array(np.full(new_count, self._round_no,
+                                              np.int32)),
+                    # ROOT-only property (neo4j-graph-model.md:13-23)
+                    "created_at": pa.nulls(new_count, pa.string()),
+                }
                 pq.write_table(
-                    pa.table(cols, schema=NODES_SCHEMA),
+                    pa.table({f.name: cols[f.name] if f.name in cols
+                              else w[f.name] for f in NODES_SCHEMA},
+                             schema=NODES_SCHEMA),
                     f"{self._nodes_path}/shard-{self.shard_id:03d}.parquet",
                 )
-        self._winners = {}
+        self._offered, self._offered_rows = [], 0
         seed_rows, self._seed_rows = self._seed_rows, []
         edge_count, self._edge_count = self._edge_count, 0
         return {"new_nodes": int(new_count), "seen_size": len(self._committed),
@@ -586,8 +574,6 @@ class SeenRouter:
         remaining batch work and ray.get()s the refs before returning (so
         the driver's round barrier can only start after every offer
         landed)."""
-        import pyarrow as pa
-
         table = table.append_column("khi", pa.array(hi, pa.uint64()))
         table = table.append_column("klo", pa.array(lo, pa.uint64()))
         shard = self._route(hi)

@@ -36,6 +36,12 @@ _LANG_HINTS = {
     "es": ["los", "cio", " de", "que", "ado"],
     "zh": [],  # CJK detection is by codepoint range below
 }
+# frontier.enrich_pages counts the grams in one overlapping pass, the scalar
+# scorers with str.count, which does not overlap: the two agree only while
+# no gram has a proper border (a prefix that is also a suffix)
+for _g in {g for grams in _LANG_HINTS.values() for g in grams}:
+    if any(_g[:k] == _g[-k:] for k in range(1, len(_g))):
+        raise ValueError(f"language gram {_g!r} has a border")
 
 
 def _t(sf_dir: str, name: str, columns=None):

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from raycrawl.dns_synth import candidate_domains
 from raycrawl.kernels import (
+    decode_html,
+    decode_html_col,
+    extract_link_sets,
     extract_urls,
     normalize_url,
     normalize_urls_arrow,
@@ -149,6 +152,60 @@ def test_normalize_arrow_matches_scalar(urls):
     assert list(zip(names.to_pylist(), protos.to_pylist())) == expected
 
 
+# --- batch extractor: extract_urls + per-page uppercased set --------------
+
+
+def _link_sets(pages: list[bytes]) -> list[list[str]]:
+    page, urls = extract_link_sets(decode_html_col(pa.array(pages, pa.binary())))
+    out: list[list[str]] = [[] for _ in pages]
+    for p, u in zip(page.tolist(), urls.to_pylist()):
+        out[p].append(u)
+    return [sorted(x) for x in out]
+
+
+def _scalar_link_sets(pages: list[bytes]) -> list[list[str]]:
+    return [sorted({u.upper() for u in extract_urls(decode_html(h))})
+            for h in pages]
+
+
+def test_extract_link_sets_pinned_vectors():
+    """Where polars' regex dialect and Python's part ways: a combining mark
+    (e + U+0301) and connector punctuation (U+203F) end Python's match, a
+    "No" digit does not, and "ß" upper-cases to "SS"."""
+    pages = ["x http://cafe\u0301.com y", "http://a\u203fb.com",
+             "see http://ab\u00b2.com", "http://stra\u00dfe.de/x",
+             "http://a.com HTTP://b.com http://A.COM:80 http://a.com",
+             "https://x-y.z_1:8080 http://\u01db.org", "", "no links"]
+    got = _link_sets([p.encode() for p in pages])
+    assert got[:4] == [["HTTP://CAFE"], ["HTTP://A"], ["HTTP://AB\u00b2.COM"],
+                       ["HTTP://STRASSE.DE"]]
+    assert got[4] == ["HTTP://A.COM", "HTTP://A.COM:80"]
+    assert got == _scalar_link_sets([p.encode() for p in pages])
+
+
+_html_piece = st.one_of(
+    st.sampled_from(["http://", "https://", "HTTP://", "http:/", ":", ":80",
+                     ".", "-", "_", "/", " ", "a", "Z", "9", "www.", "\u0301",
+                     "\u203f", "\u00b2", "\u00df", "\u019b", "\u0660",
+                     "\u1c89", "\u0378", "\ufffd", "<a href=\""]),
+    st.text(max_size=6),
+)
+_html_page = st.one_of(
+    st.lists(_html_piece, max_size=24).map(lambda ps: "".join(ps).encode()),
+    # raw bytes: invalid UTF-8 decodes with replacement
+    st.lists(st.one_of(_html_piece.map(str.encode), st.binary(max_size=4)),
+             max_size=24).map(b"".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_html_page, max_size=6))
+def test_extract_link_sets_matches_scalar(pages):
+    """Over any Unicode text, unassigned code points included, and invalid
+    UTF-8, the batch extractor is the scalar D1 set, page by page."""
+    assert _link_sets(pages) == _scalar_link_sets(pages)
+
+
 def test_enrich_pages_equals_enrich_page():
     """The batched featurizer is value-identical to the per-page one."""
     htmls = [
@@ -168,6 +225,9 @@ def test_enrich_pages_equals_enrich_page():
         "x\u00b2 the of",
         "a\u200db the of",
         "snake\u203fcase the\u00a0of \u4e2d\u6587 \u03a3\u039f\u03a3",
+        # language grams that touch or repeat: one overlapping pass must
+        # count what str.count counts
+        "the the", " de de", "queque", "thethe ionion  de de",
     ]
     _assert_enrich_equal(htmls)
 

@@ -3,7 +3,10 @@ sorted-runs) and the shard offer/commit protocol."""
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from raycrawl.seen import SeenShardImpl, _Bloom, make_backend
 
@@ -226,8 +229,143 @@ def test_shard_reset_empties_state_and_closes_writer(tmp_path):
 
     shard.reset("sortedruns", 1000, 12)
     assert shard.shard_id == 3
-    assert shard._writer is None and not shard._winners
+    assert shard._writer is None and not shard._offered
     assert shard.size() == 0 and not shard.contains(hi, lo).any()
     assert type(shard._committed).__name__ == "_SortedRunsBackend"
     edges = pq.read_table(tmp_path / "edges" / "shard-003.parquet")
     assert edges.num_rows == 1
+
+
+# --- the round's winner merge against a brute force --------------------------
+
+_KEYS = [f"K{i}.COM" for i in range(6)]
+_row = st.tuples(st.integers(0, 5), st.integers(1, 3), st.integers(0, 3))
+_offer = st.lists(_row, min_size=1, max_size=8)
+
+
+def _brute_force_delta(offers, committed):
+    """min-(depth, phash) winner per key, the first arrival among ties;
+    keys ordered by the first offer that held them, then by 128-bit key;
+    committed keys dropped."""
+    from raycrawl.kernels import hash128
+
+    def h(s):
+        hi, lo = hash128([s])
+        return int(hi[0]), int(lo[0])
+
+    best: dict = {}
+    for i, rows in enumerate(offers):
+        for r in rows:
+            rank = (r["depth"], h(r["parent_id"])[0])
+            k = r["node_id"]
+            if k not in best:
+                best[k] = (i, rank, r)
+            elif rank < best[k][1]:
+                best[k] = (best[k][0], rank, r)
+    order = sorted(best, key=lambda k: (best[k][0], h(k)))
+    return [(k, best[k][2]["depth"], best[k][2]["request_time_ms"])
+            for k in order if k not in committed]
+
+
+@settings(max_examples=150, deadline=None)
+@given(offers=st.lists(_offer, min_size=1, max_size=6),
+       committed=st.sets(st.integers(0, 5), max_size=3),
+       replay=st.integers(0, 5))
+@example(  # K0 improved by a later offer; a full tie on K1; K2 committed
+    offers=[[(0, 3, 0), (1, 2, 1), (2, 1, 0)], [(0, 2, 2), (1, 2, 1)]],
+    committed={2}, replay=0)
+def test_commit_round_equals_brute_force_winner(tmp_path_factory, offers,
+                                                committed, replay):
+    """Over several offers — ties, keys improved by a later offer, keys
+    already committed, and one offer replayed as a task retry would — the
+    nodes delta is the brute-force winner per new key, in first-arrival
+    order. ``request_time_ms`` numbers every offered row, so it names the
+    row that won."""
+    from raycrawl.kernels import hash128
+
+    d = tmp_path_factory.mktemp("merge")
+    (d / "nodes").mkdir()
+    (d / "edges").mkdir()
+    shard = SeenShardImpl(0, backend="set")
+    old = [f"HTTPS://{_KEYS[k]}" for k in sorted(committed)]
+    if old:
+        shard.bulk_load(*hash128(old))
+    shard.begin_round(str(d / "nodes"), str(d / "edges"), 4, "HTTPS://SEED")
+    seq = iter(range(10_000))
+    applied = []
+    for i, rows in enumerate(offers):
+        rows = [dict(name=_KEYS[k], node_id=f"HTTPS://{_KEYS[k]}", depth=dep,
+                     requested_depth=3, parent_id=f"P{p}",
+                     request_time_ms=float(next(seq)))
+                for k, dep, p in rows]
+        t = _offer_table(rows)
+        shard.offer(t, salt=i)
+        applied.append(rows)
+        if i == replay:
+            shard.offer(t, salt=i)  # a retried task's replay: dropped
+    stats = shard.commit_round()
+
+    want = _brute_force_delta(applied, set(old))
+    assert stats["new_nodes"] == len(want)
+    assert stats["edges_written"] == sum(map(len, applied))  # none replayed
+    f = d / "nodes" / "shard-000.parquet"
+    got = pq.read_table(f).to_pylist() if want else []
+    assert [(r["node_id"], r["depth"], r["request_time_ms"]) for r in got] == want
+    assert all(r["status"] == ("COMPLETED" if r["depth"] == 3 else "PENDING")
+               and r["node_type"] == "URL" and r["round"] == 4
+               and r["attempts"] == 0 and r["created_at"] is None
+               for r in got)
+    assert not f.exists() or want
+    assert shard.contains(*hash128([k for k, _, _ in want])).all()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_offered_keys_are_hashes_of_their_ids(tiny_corpus, tmp_path,
+                                              monkeypatch):
+    """Every row a fetch task offers carries khi/klo = hash128(node_id) and
+    phash = hash128(parent_id)[0], the keys the shard ranks and commits
+    by; the crawl stays oracle-equal."""
+    from test_crawl_pipeline import _compare, _run, _seeds
+
+    from raycrawl import crawl as crawl_mod
+    from raycrawl.oracle import oracle_crawl
+
+    real = crawl_mod._fetch_slice
+    log = str(tmp_path / "checked")
+
+    class CheckedOffers:
+        """A seen-shard handle that checks each offered row's hashes."""
+
+        def __init__(self, shard):
+            self.shard = shard
+            self.offer = self  # shard.offer.remote(...) → self.remote(...)
+
+        @property
+        def contains(self):
+            return self.shard.contains
+
+        def remote(self, table, salt):
+            from raycrawl.kernels import hash128
+
+            hi, lo = hash128(table["node_id"])
+            ph, _ = hash128(table["parent_id"])
+            for col, want in (("khi", hi), ("klo", lo), ("phash", ph)):
+                if not np.array_equal(table[col].to_numpy(), want):
+                    raise AssertionError(f"offered {col} is not hash128")
+            with open(log, "a") as f:
+                f.write(f"{table.num_rows}\n")
+            return self.shard.offer.remote(table, salt)
+
+    # a closure, so Ray ships it to the fetch tasks by value
+    def checked(path, batch, batch_size, fetch_kw, neardup):
+        fetch_kw = dict(fetch_kw, seen_handles=[
+            CheckedOffers(h) for h in fetch_kw["seen_handles"]])
+        return real(path, batch, batch_size, fetch_kw, neardup)
+
+    monkeypatch.setattr(crawl_mod, "_fetch_slice", checked)
+    s = _seeds(tiny_corpus)[0]
+    res = _run(tiny_corpus, s["url"], int(s["depth"]), str(tmp_path / "ck"))
+    _compare(res, oracle_crawl(tiny_corpus, s["url"], int(s["depth"]),
+                               crawl_id="t"))
+    with open(log) as f:
+        assert sum(int(x) for x in f) > 0
