@@ -145,7 +145,6 @@ def _run_headline(num_cpus: int, tag: str) -> dict:
     neardup = float(nd_env) if nd_env else None
     cfg = CrawlConfig(
         enrich=True,
-        seen_backend="sortedruns",
         fetch_batch_size=1024,
         # 100 TB corpus layout (no broadcast; per-worker partition LRU)
         corpus_partitioned=partitioned,

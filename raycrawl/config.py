@@ -18,10 +18,11 @@ class CrawlConfig:
     max_crawl_depth: int = 5       # MAX_CRAWL_DEPTH; manager/src/routes/crawl.rs:28
 
     # Ray-side physical knobs (no reference analogue; SURVEY.md §4)
-    # URL-seen filter shards (hash(url) % S). None = min(8, cluster CPUs):
-    # the shards reserve no CPU, but each is a process the fetch tasks
-    # share cores with. Every crawl in a Ray session reuses one shard set
-    # per count (crawl._seen_shards).
+    # URL-seen filter shards (hash(url) % S), each an exact set of 128-bit
+    # keys (raycrawl.seen). None = min(8, cluster CPUs): the shards reserve
+    # no CPU, but each is a process the fetch tasks share cores with. Every
+    # crawl in a Ray session reuses one shard set per count
+    # (crawl._seen_shards).
     num_seen_shards: int | None = None
     fetch_batch_size: int = 4096
 
@@ -45,15 +46,6 @@ class CrawlConfig:
     # crawl's FIRST run — resuming a neardup crawl that started without it
     # is refused (the prior rounds' index files don't exist).
     neardup_threshold: float | None = None
-
-    # Seen-filter backend: "set" (exact python set of 16-byte keys; test
-    # scale), "sortedruns" (numpy sorted runs + Bloom front; the 10^10
-    # design point) or "cuckoo" (same runs behind a cuckoo-filter front:
-    # ~2^-13 FP at ~20 bits/key, deletion-capable, safe-degrade on
-    # overflow).  "auto" picks sortedruns above auto_backend_threshold.
-    seen_backend: str = "auto"
-    auto_backend_threshold: int = 2_000_000
-    bloom_bits_per_key: int = 12
 
     # Corpus layout: broadcast (default; small corpora) vs host-hash-
     # partitioned Parquet (the 100 TB shape — fetch tasks load only the

@@ -216,24 +216,16 @@ def _seen_shard_count(cfg: CrawlConfig) -> int:
     return max(1, min(8, int(ray.cluster_resources().get("CPU", 1))))
 
 
-def _seen_shard_kwargs(cfg: CrawlConfig, n: int, expected_keys: int) -> dict:
-    backend = cfg.seen_backend
-    if backend == "auto":
-        backend = "sortedruns" if expected_keys > cfg.auto_backend_threshold else "set"
-    return dict(backend=backend, expected_keys=max(1000, expected_keys // n),
-                bits_per_key=cfg.bloom_bits_per_key)
-
-
-def _make_seen_actors(cfg: CrawlConfig, expected_keys: int):
+# ``expected_keys`` is unused; crawlbench/layers.py still passes it
+def _make_seen_actors(cfg: CrawlConfig, expected_keys=None):
     """A fresh seen-shard set, owned (and killed) by the caller. The shards
     reserve no CPU: they only answer RPCs, and any reservation leaves a
     1-CPU cluster no whole CPU for the fetch stage."""
     import ray
 
-    n = _seen_shard_count(cfg)
-    kw = _seen_shard_kwargs(cfg, n, expected_keys)
     Shard = ray.remote(SeenShardImpl)
-    return [Shard.options(num_cpus=0).remote(i, **kw) for i in range(n)]
+    return [Shard.options(num_cpus=0).remote(i)
+            for i in range(_seen_shard_count(cfg))]
 
 
 # One seen-shard set per (Ray session, shard count), shared by every crawl
@@ -247,7 +239,7 @@ _SEEN_POOL_LOCK = threading.Lock()
 
 
 @contextlib.contextmanager
-def _seen_shards(cfg: CrawlConfig, expected_keys: int):
+def _seen_shards(cfg: CrawlConfig):
     """Check out the session's seen shards, emptied for this crawl. While
     they are checked out, a concurrent crawl() in this driver gets its own
     set and kills it at the end. A crawl that raises leaves the pool as it
@@ -265,7 +257,7 @@ def _seen_shards(cfg: CrawlConfig, expected_keys: int):
         if pooled:
             _SEEN_POOL_BUSY.add(key)
     if not pooled:
-        handles = _make_seen_actors(cfg, expected_keys)
+        handles = _make_seen_actors(cfg)
         try:
             yield handles
         finally:
@@ -275,16 +267,15 @@ def _seen_shards(cfg: CrawlConfig, expected_keys: int):
     try:
         handles = _SEEN_POOL.get(key)
         if handles is not None:
-            kw = _seen_shard_kwargs(cfg, n, expected_keys)
             try:
-                ray.get([h.reset.remote(**kw) for h in handles])
+                ray.get([h.reset.remote() for h in handles])
             except ray.exceptions.RayActorError:
                 # a shard died since the last crawl: replace the whole set
                 for h in handles:
                     ray.kill(h, no_restart=True)
                 handles = None
         if handles is None:
-            handles = _SEEN_POOL[key] = _make_seen_actors(cfg, expected_keys)
+            handles = _SEEN_POOL[key] = _make_seen_actors(cfg)
         yield handles
     finally:
         with _SEEN_POOL_LOCK:
@@ -718,7 +709,6 @@ def crawl(
         if not os.path.exists(os.path.join(_round_dir(ckpt_dir, 0), "_DONE")):
             _bootstrap(ckpt_dir, boot_table, seed_url, depth, crawl_id, cfg)
         corpus_ref = pcorpus
-        expected_rows = pcorpus.num_rows
     else:
         from raycrawl.fetch import broadcast_corpus, resolve_corpus_table
 
@@ -732,7 +722,6 @@ def crawl(
             # broadcast table + driver-precomputed sorted index: workers
             # warm zero-copy instead of each re-indexing the corpus
             corpus_ref = broadcast_corpus(corpus_table)
-        expected_rows = corpus_table.num_rows
 
     _ph["corpus_boot_s"] = round(_time.perf_counter() - _t, 4)
 
@@ -759,7 +748,7 @@ def crawl(
     import pyarrow.dataset as pads
 
     _t = _time.perf_counter()
-    with _seen_shards(cfg, expected_keys=expected_rows * 4) as seen:
+    with _seen_shards(cfg) as seen:
         _ph["actors_s"] = round(_time.perf_counter() - _t, 4)
         _t = _time.perf_counter()
 

@@ -118,24 +118,21 @@ def normalize_urls_arrow(urls: pa.Array | pa.ChunkedArray) -> tuple[pa.Array, pa
     Non-ASCII rows take the scalar path: Arrow's ``utf8_upper`` uses simple
     case mapping (ß→ẞ) while Rust's ``to_uppercase`` — which the reference
     uses (url_normalize.rs:9) — and Python's ``str.upper`` use full case
-    mapping (ß→SS). ASCII rows (the overwhelming majority of hosts) stay on
-    the vectorized path.
+    mapping (ß→SS). Only those rows run ``normalize_url``; their results
+    replace the vectorized ones in place.
     """
     if isinstance(urls, pa.ChunkedArray):
         urls = urls.combine_chunks()
-    ascii_mask = pc.string_is_ascii(urls)
-    if not pc.all(ascii_mask).as_py() if len(urls) else False:
-        # mixed: vectorize ASCII rows, scalar-fix the rest
-        names, protos = _normalize_ascii_arrow(urls)
-        fix_idx = np.flatnonzero(~ascii_mask.to_numpy(zero_copy_only=False))
-        names_py = names.to_pylist()
-        protos_py = protos.to_pylist()
-        raw = urls.to_pylist()
-        for i in fix_idx:
-            n, p = normalize_url(raw[i])
-            names_py[i], protos_py[i] = n, p
-        return pa.array(names_py, pa.string()), pa.array(protos_py, pa.string())
-    return _normalize_ascii_arrow(urls)
+    names, protos = _normalize_ascii_arrow(urls)
+    bad = pc.fill_null(pc.invert(pc.string_is_ascii(urls)), False)
+    if not pc.any(bad).as_py():
+        return names, protos
+    fixed = [normalize_url(u) for u in urls.filter(bad).to_pylist()]
+    names = pc.replace_with_mask(names, bad,
+                                 pa.array([n for n, _ in fixed], names.type))
+    protos = pc.replace_with_mask(protos, bad,
+                                  pa.array([p for _, p in fixed], protos.type))
+    return names, protos
 
 
 def _normalize_ascii_arrow(urls: pa.Array) -> tuple[pa.Array, pa.Array]:

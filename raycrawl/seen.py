@@ -2,26 +2,25 @@
 the reference (feeder/src/job.rs:138-165 anti-join J1; :180 MERGE J2;
 SURVEY.md §2.3 ST3, §7.3).
 
-Design (the 10^10-URL design point, tested at small scale):
+Design:
 
 - S shards, each a Ray actor; a URL key routes to ``hash_hi % S``. Both the
   J1 anti-join key (the *raw-uppercased* candidate string) and the
   authoritative node key (the *normalized* ``http_type + name`` id) are
   checked against the same committed set — string equality under one hash
   function makes the two-stage dedup of the reference exact (SURVEY §7.4).
-- Keys are 128-bit (two independently-seeded xxh64 lanes): 64-bit would
-  birthday-collide with certainty at 10^10 keys.
+- Keys are 128-bit (``kernels.hash128``, two independent 64-bit lanes).
 - **Round-snapshot semantics**: ``contains`` reads only the committed set;
-  ``add_pending`` buffers; the driver calls ``commit`` at the round barrier.
-  This is what makes the round-synchronous BFS deterministic (oracle.py).
-- Backends: ``set`` — exact Python set of 16-byte keys (test scale);
-  ``sortedruns`` — Bloom front + sorted numpy runs with vectorized
-  searchsorted membership and periodic compaction (scale path; ~16 B/key
-  flat arrays instead of ~100 B/key Python set entries); ``cuckoo`` —
-  the same exact runs behind a cuckoo-filter front (lower FP rate,
-  deletion support, safe all-True degrade on overflow).
-- Checkpointing: per-round deltas are returned by ``commit`` and written to
-  Parquet by the driver; ``bulk_load`` restores (resume = union of deltas).
+  ``offer`` buffers a round's candidate rows; the driver calls
+  ``commit_round`` at the round barrier. This is what makes the
+  round-synchronous BFS deterministic (oracle.py).
+- The committed set is one exact structure, a Python set of 16-byte keys
+  (83 B per key at 1M keys). A Bloom-fronted sorted-array store held a
+  key in 17.5 B but answered ``contains`` 1.4× (20k keys) to 2.7× (1M
+  keys) slower; an approximate front pays only once the exact keys no
+  longer fit in memory.
+- Checkpointing: each shard writes its round's nodes delta itself;
+  ``bulk_load`` restores the committed set (resume = union of deltas).
 """
 
 from __future__ import annotations
@@ -37,260 +36,6 @@ def pack_keys(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     out["hi"] = hi
     out["lo"] = lo
     return out
-
-
-class _SetBackend:
-    """Exact membership via a Python set of 16-byte keys."""
-
-    def __init__(self):
-        self._set: set[bytes] = set()
-
-    def contains(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-        buf = pack_keys(hi, lo).tobytes()
-        s = self._set
-        return np.fromiter(
-            (buf[i : i + 16] in s for i in range(0, len(buf), 16)),
-            dtype=bool,
-            count=len(hi),
-        )
-
-    def add(self, hi: np.ndarray, lo: np.ndarray) -> None:
-        buf = pack_keys(hi, lo).tobytes()
-        self._set.update(buf[i : i + 16] for i in range(0, len(buf), 16))
-
-    def __len__(self):
-        return len(self._set)
-
-
-class _Bloom:
-    """Vectorized Bloom filter over (hi, lo) uint64 key pairs."""
-
-    def __init__(self, n_bits: int, n_hashes: int = 4):
-        self.m = np.uint64(max(64, n_bits))
-        self.k = n_hashes
-        self.bits = np.zeros(int(self.m) // 8 + 1, dtype=np.uint8)
-
-    def _indices(self, hi, lo):
-        # double hashing: idx_j = (hi + j*lo) mod m
-        js = np.arange(self.k, dtype=np.uint64)[:, None]
-        with np.errstate(over="ignore"):
-            return (hi[None, :] + js * lo[None, :]) % self.m  # (k, n)
-
-    def add(self, hi, lo):
-        idx = self._indices(hi, lo).ravel()
-        np.bitwise_or.at(self.bits, (idx >> np.uint64(3)).astype(np.int64),
-                         (1 << (idx & np.uint64(7))).astype(np.uint8))
-
-    def maybe_contains(self, hi, lo) -> np.ndarray:
-        idx = self._indices(hi, lo)
-        byte = self.bits[(idx >> np.uint64(3)).astype(np.int64)]
-        bit = (byte >> (idx & np.uint64(7)).astype(np.uint8)) & 1
-        return bit.all(axis=0).astype(bool)
-
-
-class _Cuckoo:
-    """Vectorized cuckoo filter over (hi, lo) uint64 key pairs.
-
-    Public algorithm (Fan, Andersen, Kaminsky, Mitzenmacher, "Cuckoo
-    Filter: Practically Better Than Bloom", CoNEXT 2014): buckets of 4
-    16-bit fingerprints, two candidate buckets per key via the
-    partial-key-cuckoo XOR trick (``i2 = i1 ^ hash(fp)``, involutive when
-    the bucket count is a power of two), eviction chains on full buckets.
-    vs the Bloom front: ~2⁻¹³ false-positive rate at ~20 bits/key and
-    deletion support; same no-false-negative contract while ``overflow``
-    is False. On an eviction-chain failure (table effectively full) the
-    filter degrades SAFELY: ``maybe_contains`` returns all-True so the
-    exact backing runs still decide membership — never a false negative.
-
-    Inserts are batch-vectorized: multi-pass "one key per bucket per pass"
-    placement into empty slots (numpy-only), with the per-key eviction
-    loop reserved for the stragglers a full bucket leaves behind (rare
-    below ~0.84 load). Deterministic throughout — slot choice is
-    ``kick % 4``, no RNG — so crawl replays are bit-identical.
-    """
-
-    SLOTS = 4
-    MAX_KICKS = 500
-
-    def __init__(self, expected_keys: int):
-        m = 1
-        while m * self.SLOTS * 0.84 < max(64, expected_keys):
-            m <<= 1
-        self.m = m
-        self._mask = np.uint64(m - 1)
-        self.table = np.zeros((m, self.SLOTS), dtype=np.uint16)
-        self.overflow = False
-        self._n = 0
-
-    @staticmethod
-    def _fp(hi: np.ndarray) -> np.ndarray:
-        # fingerprint in 1..65535 (0 is the empty-slot sentinel)
-        return (hi % np.uint64(65535) + np.uint64(1)).astype(np.uint16)
-
-    @staticmethod
-    def _fp_hash(fp: np.ndarray) -> np.ndarray:
-        x = fp.astype(np.uint64)
-        with np.errstate(over="ignore"):
-            x = x * np.uint64(0x9E3779B97F4A7C15)
-        return x ^ (x >> np.uint64(31))
-
-    def _buckets(self, hi, lo):
-        fp = self._fp(np.asarray(hi, dtype=np.uint64))
-        i1 = (np.asarray(lo, dtype=np.uint64) & self._mask).astype(np.int64)
-        i2 = ((i1.astype(np.uint64) ^ self._fp_hash(fp)) & self._mask).astype(np.int64)
-        return fp, i1, i2
-
-    def maybe_contains(self, hi, lo) -> np.ndarray:
-        if self.overflow:
-            return np.ones(len(hi), dtype=bool)
-        fp, i1, i2 = self._buckets(hi, lo)
-        col = fp[:, None]
-        return ((self.table[i1] == col).any(axis=1)
-                | (self.table[i2] == col).any(axis=1))
-
-    def add(self, hi, lo) -> None:
-        if self.overflow or len(hi) == 0:
-            return
-        fp, i1, i2 = self._buckets(hi, lo)
-        col = fp[:, None]
-        present = ((self.table[i1] == col).any(axis=1)
-                   | (self.table[i2] == col).any(axis=1))
-        remaining = np.flatnonzero(~present)
-        # vectorized placement: each pass writes at most one key per bucket
-        # (np.unique picks the winner) so concurrent writes never collide
-        while remaining.size:
-            before = remaining.size
-            for buckets in (i1, i2):
-                for slot in range(self.SLOTS):
-                    if remaining.size == 0:
-                        break
-                    b = buckets[remaining]
-                    idx = remaining[self.table[b, slot] == 0]
-                    if idx.size == 0:
-                        continue
-                    _, first = np.unique(buckets[idx], return_index=True)
-                    chosen = idx[first]
-                    self.table[buckets[chosen], slot] = fp[chosen]
-                    self._n += chosen.size
-                    remaining = remaining[~np.isin(remaining, chosen)]
-            if remaining.size == before:
-                break  # no empty slot in either bucket → eviction path
-        for j in remaining:
-            if not self._insert_evict(fp[j], int(i1[j])):
-                self.overflow = True
-                return
-
-    def _insert_evict(self, f: np.uint16, i: int) -> bool:
-        for kick in range(self.MAX_KICKS):
-            row = self.table[i]
-            empty = np.flatnonzero(row == 0)
-            if empty.size:
-                row[empty[0]] = f
-                self._n += 1
-                return True
-            s = kick % self.SLOTS  # deterministic victim
-            f, row[s] = row[s], f
-            i = int((np.uint64(i) ^ self._fp_hash(np.asarray([f]))[0])
-                    & self._mask)
-        return False
-
-    def delete(self, hi, lo) -> np.ndarray:
-        """Remove one stored copy per key; True where a copy was found.
-        Not used by the crawl (seen-sets only grow) — exercised by tests
-        to pin the cuckoo-specific capability Bloom lacks."""
-        fp, i1, i2 = self._buckets(hi, lo)
-        out = np.zeros(len(fp), dtype=bool)
-        for j in range(len(fp)):
-            for i in (i1[j], i2[j]):
-                slots = np.flatnonzero(self.table[i] == fp[j])
-                if slots.size:
-                    self.table[i, slots[0]] = 0
-                    self._n -= 1
-                    out[j] = True
-                    break
-        return out
-
-
-def _make_front(front: str, expected_keys: int, bits_per_key: int):
-    if front == "bloom":
-        return _Bloom(expected_keys * bits_per_key)
-    if front == "cuckoo":
-        return _Cuckoo(expected_keys)
-    raise ValueError(f"unknown seen front {front!r}")
-
-
-class _SortedRunsBackend:
-    """Bloom-or-cuckoo front + sorted (hi, lo) runs; vectorized binary
-    search. The front only short-circuits definite misses (no false
-    negatives by construction), so membership stays EXACT — required for
-    oracle-equal crawls — while ~99% of novel-URL probes skip the runs."""
-
-    def __init__(self, expected_keys: int = 10_000_000, bits_per_key: int = 12,
-                 compact_above: int = 8, front: str = "bloom"):
-        self._runs: list[tuple[np.ndarray, np.ndarray]] = []  # (hi sorted, lo)
-        self._bloom = _make_front(front, expected_keys, bits_per_key)
-        self._compact_above = compact_above
-        self._n = 0
-
-    @staticmethod
-    def _sort(hi, lo):
-        order = np.lexsort((lo, hi))
-        return hi[order], lo[order]
-
-    @staticmethod
-    def _run_contains(run_hi, run_lo, hi, lo) -> np.ndarray:
-        left = np.searchsorted(run_hi, hi, "left")
-        right = np.searchsorted(run_hi, hi, "right")
-        out = np.zeros(len(hi), dtype=bool)
-        width = right - left
-        one = width == 1
-        out[one] = run_lo[left[one]] == lo[one]
-        for i in np.flatnonzero(width > 1):
-            out[i] = lo[i] in run_lo[left[i] : right[i]]
-        return out
-
-    def contains(self, hi, lo) -> np.ndarray:
-        if self._n == 0 or len(hi) == 0:
-            return np.zeros(len(hi), dtype=bool)
-        cand = self._bloom.maybe_contains(hi, lo)
-        out = np.zeros(len(hi), dtype=bool)
-        if not cand.any():
-            return out
-        ci = np.flatnonzero(cand)
-        chi, clo = hi[ci], lo[ci]
-        hit = np.zeros(len(ci), dtype=bool)
-        for run_hi, run_lo in self._runs:
-            miss = ~hit
-            if not miss.any():
-                break
-            hit[miss] |= self._run_contains(run_hi, run_lo, chi[miss], clo[miss])
-        out[ci] = hit
-        return out
-
-    def add(self, hi, lo) -> None:
-        if len(hi) == 0:
-            return
-        self._runs.append(self._sort(np.asarray(hi), np.asarray(lo)))
-        self._bloom.add(hi, lo)
-        self._n += len(hi)
-        if len(self._runs) > self._compact_above:
-            all_hi = np.concatenate([r[0] for r in self._runs])
-            all_lo = np.concatenate([r[1] for r in self._runs])
-            self._runs = [self._sort(all_hi, all_lo)]
-
-    def __len__(self):
-        return self._n
-
-
-def make_backend(kind: str, expected_keys: int = 1_000_000, bits_per_key: int = 12):
-    if kind == "set":
-        return _SetBackend()
-    if kind == "sortedruns":
-        return _SortedRunsBackend(expected_keys=expected_keys, bits_per_key=bits_per_key)
-    if kind == "cuckoo":  # sorted runs behind a cuckoo (not Bloom) front
-        return _SortedRunsBackend(expected_keys=expected_keys,
-                                  bits_per_key=bits_per_key, front="cuckoo")
-    raise ValueError(f"unknown seen backend {kind!r}")
 
 
 def _group_first(khi, klo, phash, depth):
@@ -336,10 +81,14 @@ class SeenShardImpl:
         ("khi", pa.uint64()), ("klo", pa.uint64()), ("phash", pa.uint64()),
     ])
 
-    def __init__(self, shard_id: int, backend: str = "set",
-                 expected_keys: int = 1_000_000, bits_per_key: int = 12):
+    # ``backend`` is kept only for crawlbench/layers.py's
+    # ``SeenShardImpl(0, backend="set")``
+    def __init__(self, shard_id: int, backend: str = "set"):
+        if backend != "set":
+            raise ValueError(f"unknown seen backend {backend!r}")
         self.shard_id = shard_id
-        self._committed = make_backend(backend, expected_keys, bits_per_key)
+        # the committed set: one exact 16-byte (hi, lo) key per node id
+        self._committed: set[bytes] = set()
         # per-round incremental state (begin_round → offer* → commit_round)
         self._writer = None
         self._edge_buf: list = []
@@ -361,17 +110,27 @@ class SeenShardImpl:
         # globally distinct). One small tuple per offer slice per round.
         self._offer_keys: set = set()
 
-    def reset(self, backend: str, expected_keys: int, bits_per_key: int) -> None:
+    def reset(self) -> None:
         """Empty the shard for a new crawl (the driver reuses one shard set
         per Ray session): close any edge partition a failed crawl left
         open, then start over with a fresh committed set."""
         if self._writer is not None:
             self._writer.close()
-        self.__init__(self.shard_id, backend, expected_keys, bits_per_key)
+        self.__init__(self.shard_id)
 
     def contains(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """Membership against the committed (round-start) snapshot only."""
-        return self._committed.contains(np.asarray(hi, np.uint64), np.asarray(lo, np.uint64))
+        buf = pack_keys(hi, lo).tobytes()
+        s = self._committed
+        return np.fromiter(
+            (buf[i : i + 16] in s for i in range(0, len(buf), 16)),
+            dtype=bool,
+            count=len(hi),
+        )
+
+    def _add(self, hi: np.ndarray, lo: np.ndarray) -> None:
+        buf = pack_keys(hi, lo).tobytes()
+        self._committed.update(buf[i : i + 16] for i in range(0, len(buf), 16))
 
     def begin_round(self, nodes_path: str, edges_path: str, round_no: int,
                     seed_id: str) -> None:
@@ -500,11 +259,11 @@ class SeenShardImpl:
             klo = buf["klo"].to_numpy()
             win, arrival = _group_first(khi, klo, buf["phash"].to_numpy(),
                                         buf["depth"].to_numpy())
-            fresh = ~self._committed.contains(khi[win], klo[win])
+            fresh = ~self.contains(khi[win], klo[win])
             win = win[fresh][np.argsort(arrival[fresh])]
             new_count = len(win)
             if new_count:
-                self._committed.add(khi[win], klo[win])
+                self._add(khi[win], klo[win])
                 w = buf.take(pa.array(win))
                 leaf = pc.equal(w["depth"], w["requested_depth"])
                 cols = {
@@ -531,7 +290,7 @@ class SeenShardImpl:
 
     def bulk_load(self, hi: np.ndarray, lo: np.ndarray) -> int:
         """Checkpoint restore: load directly into the committed set."""
-        self._committed.add(np.asarray(hi, np.uint64), np.asarray(lo, np.uint64))
+        self._add(hi, lo)
         return len(self._committed)
 
     def size(self) -> int:
@@ -539,10 +298,10 @@ class SeenShardImpl:
 
 
 class SeenRouter:
-    """Client-side router used inside map_batches stages: splits a key batch
-    by shard and fans calls out to the shard actors (SURVEY §7.3: shuffle key
-    = hash % S — here the 'shuffle' is the actor RPC, not a Dataset
-    exchange)."""
+    """Client-side router used inside a round's fetch tasks
+    (``frontier.fetch_expand_batch``): splits a key batch by shard and fans
+    calls out to the shard actors (SURVEY §7.3: shuffle key = hash % S —
+    here the 'shuffle' is the actor RPC, not a Dataset exchange)."""
 
     def __init__(self, handles):
         self.handles = handles

@@ -51,18 +51,6 @@ def test_crawl_matches_oracle_seed0(tiny_corpus, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_crawl_matches_oracle_cuckoo_backend(tiny_corpus, tmp_path):
-    # same crawl, cuckoo-front seen filter (north-star "bloom/cuckoo
-    # URL-seen"): the front must not change the URL-seen set
-    s = _seeds(tiny_corpus)[0]
-    cfg = CrawlConfig(seen_backend="cuckoo")
-    res = _run(tiny_corpus, s["url"], int(s["depth"]), str(tmp_path / "ck"),
-               cfg=cfg)
-    o = oracle_crawl(tiny_corpus, s["url"], int(s["depth"]), crawl_id="t")
-    _compare(res, o)
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_crawl_matches_oracle_seed1_www_variant(tiny_corpus, tmp_path):
     # seed with www. + mixed-case raw form exercises M2 at the root
     s = _seeds(tiny_corpus)[1]

@@ -152,6 +152,27 @@ def test_normalize_arrow_matches_scalar(urls):
     assert list(zip(names.to_pylist(), protos.to_pylist())) == expected
 
 
+def test_normalize_arrow_scalar_fixes_only_non_ascii_rows():
+    """Non-ASCII rows (here ß, whose full upper case is SS) are replaced in
+    place among vectorized ASCII rows; mixed, all-non-ASCII, chunked and
+    empty columns all equal per-row ``normalize_url``, as string arrays."""
+    mixed = ["https://www.straße.de", "http://WWW.Example.com", "www.a.com",
+             "HTTPS://b.org", "http://ßwww.x", "https://www.ß.com", "c.net"]
+    cases = [
+        pa.array(mixed, pa.string()),
+        pa.array(["straße.de", "https://WWW.ß", "http://ßß"], pa.string()),
+        pa.chunked_array([mixed[:2], mixed[2:]], pa.string()),
+        pa.array([], pa.string()),
+    ]
+    for urls in cases:
+        names, protos = normalize_urls_arrow(urls)
+        assert names.type == protos.type == pa.string()
+        want = [normalize_url(u) for u in urls.to_pylist()]
+        assert names.to_pylist() == [n for n, _ in want]
+        assert protos.to_pylist() == [p for _, p in want]
+    assert normalize_urls_arrow(cases[0])[0][0].as_py() == "STRASSE.DE"
+
+
 # --- batch extractor: extract_urls + per-page uppercased set --------------
 
 

@@ -1,5 +1,5 @@
-"""Unit tests for the seen-filter backends (exact set, Bloom front,
-sorted-runs) and the shard offer/commit protocol."""
+"""Unit tests for the seen shard: exact membership of its committed set and
+the offer/commit protocol."""
 
 import numpy as np
 import pyarrow as pa
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from raycrawl.seen import SeenShardImpl, _Bloom, make_backend
+from raycrawl.seen import SeenShardImpl
 
 
 def _keys(n, seed=0):
@@ -17,85 +17,27 @@ def _keys(n, seed=0):
             rng.integers(0, 1 << 63, n).astype(np.uint64))
 
 
-@pytest.mark.parametrize("kind", ["set", "sortedruns", "cuckoo"])
+@pytest.mark.parametrize("kind", ["set"])
 def test_backend_membership(kind):
-    b = make_backend(kind, expected_keys=10_000)
+    """The shard's committed set (``backend="set"``, the only one) holds
+    exactly the loaded keys: a key sharing ``hi`` with a member but not
+    ``lo`` is not a member."""
+    shard = SeenShardImpl(0, backend=kind)
     hi, lo = _keys(5_000, seed=1)
-    assert not b.contains(hi, lo).any()
-    b.add(hi[:3_000], lo[:3_000])
-    got = b.contains(hi, lo)
+    assert not shard.contains(hi, lo).any()
+    shard.bulk_load(hi[:3_000], lo[:3_000])
+    got = shard.contains(hi, lo)
     assert got[:3_000].all()
     assert not got[3_000:].any()
-    # same hi different lo must NOT match
-    assert not b.contains(hi[:10], lo[:10] + np.uint64(1)).any()
-    assert len(b) >= 3_000
+    assert not shard.contains(hi[:10], lo[:10] + np.uint64(1)).any()
+    assert shard.size() == 3_000
+    assert shard.bulk_load(hi[:10], lo[:10]) == 3_000  # re-adds are no-ops
+    assert not shard.contains(hi[:0], lo[:0]).any()
 
 
-def test_sortedruns_compaction_preserves_membership():
-    b = make_backend("sortedruns", expected_keys=10_000)
-    all_hi, all_lo = _keys(20_000, seed=2)
-    for i in range(0, 20_000, 1_000):  # 20 adds → forces compaction
-        b.add(all_hi[i : i + 1_000], all_lo[i : i + 1_000])
-    assert b.contains(all_hi, all_lo).all()
-    miss_hi, miss_lo = _keys(1_000, seed=3)
-    assert not b.contains(miss_hi, miss_lo).any()
-
-
-def test_bloom_no_false_negatives():
-    bl = _Bloom(12 * 5_000)
-    hi, lo = _keys(5_000, seed=4)
-    bl.add(hi, lo)
-    assert bl.maybe_contains(hi, lo).all()
-    other_hi, other_lo = _keys(50_000, seed=5)
-    fp = bl.maybe_contains(other_hi, other_lo).mean()
-    assert fp < 0.05  # 12 bits/key → well under 5% false positives
-
-
-def test_cuckoo_no_false_negatives_and_low_fp():
-    from raycrawl.seen import _Cuckoo
-
-    ck = _Cuckoo(5_000)
-    hi, lo = _keys(5_000, seed=4)
-    for i in range(0, 5_000, 700):  # incremental adds, uneven batches
-        ck.add(hi[i : i + 700], lo[i : i + 700])
-    assert not ck.overflow
-    assert ck.maybe_contains(hi, lo).all()  # the filter contract
-    other_hi, other_lo = _keys(100_000, seed=5)
-    fp = ck.maybe_contains(other_hi, other_lo).mean()
-    assert fp < 0.005  # 16-bit fingerprints: ~2*4/2^16 ≈ 0.012% expected
-
-
-def test_cuckoo_delete_then_probe():
-    from raycrawl.seen import _Cuckoo
-
-    ck = _Cuckoo(2_000)
-    hi, lo = _keys(1_000, seed=6)
-    ck.add(hi, lo)
-    deleted = ck.delete(hi[:100], lo[:100])
-    assert deleted.all()
-    # remaining keys still present (no false negatives introduced)
-    assert ck.maybe_contains(hi[100:], lo[100:]).all()
-
-
-def test_cuckoo_overflow_degrades_to_all_true():
-    from raycrawl.seen import _Cuckoo
-
-    ck = _Cuckoo(64)  # tiny table: 64 buckets min → force overflow
-    hi, lo = _keys(50_000, seed=7)
-    ck.add(hi, lo)
-    assert ck.overflow
-    # safe degrade: never a false negative — everything maybe-contained,
-    # the exact sorted runs behind it still decide true membership
-    assert ck.maybe_contains(hi, lo).all()
-
-
-def test_cuckoo_backend_exact_after_overflow():
-    b = make_backend("cuckoo", expected_keys=100)  # undersized front
-    hi, lo = _keys(30_000, seed=8)
-    b.add(hi, lo)
-    assert b.contains(hi, lo).all()
-    miss_hi, miss_lo = _keys(5_000, seed=9)
-    assert not b.contains(miss_hi, miss_lo).any()  # exactness survives
+def test_shard_refuses_other_backends():
+    with pytest.raises(ValueError, match="sortedruns"):
+        SeenShardImpl(0, backend="sortedruns")
 
 
 def _offer_table(rows):
@@ -207,7 +149,7 @@ def test_shard_offer_replay_is_dropped(tmp_path):
 
 def test_shard_reset_empties_state_and_closes_writer(tmp_path):
     """reset() readies a reused shard for a new crawl: the committed set
-    is empty (under the new backend), a half-written edge partition left
+    is empty, a half-written edge partition left
     by a failed crawl is closed into a readable file, and round state is
     gone."""
     import pyarrow.parquet as pq
@@ -227,11 +169,10 @@ def test_shard_reset_empties_state_and_closes_writer(tmp_path):
     shard._flush_edges(force=True)  # a crawl that died mid-round
     assert shard._writer is not None
 
-    shard.reset("sortedruns", 1000, 12)
+    shard.reset()
     assert shard.shard_id == 3
     assert shard._writer is None and not shard._offered
     assert shard.size() == 0 and not shard.contains(hi, lo).any()
-    assert type(shard._committed).__name__ == "_SortedRunsBackend"
     edges = pq.read_table(tmp_path / "edges" / "shard-003.parquet")
     assert edges.num_rows == 1
 

@@ -140,7 +140,7 @@ def test_back_to_back_crawls_share_the_pool(tiny_corpus, tmp_path,
     _check(tiny_corpus, s1, str(tmp_path / "b"))
     assert len(used_shards) == 2 and used_shards[0] == used_shards[1]
     # the factory still hands out a new set the caller owns
-    fresh = _make_seen_actors(CrawlConfig(), expected_keys=1000)
+    fresh = _make_seen_actors(CrawlConfig())
     try:
         assert not set(_ids(fresh)) & set(used_shards[0])
         assert len(fresh) == len(used_shards[0])
@@ -212,6 +212,61 @@ def test_dead_pool_shard_is_replaced(tiny_corpus, tmp_path, used_shards):
 
 
 @pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("when", ["round_start", "before_barrier"])
+def test_shard_killed_mid_crawl_fails_then_resumes(tiny_corpus, tmp_path,
+                                                   monkeypatch, when):
+    """A pooled shard killed during round 2 (before the round begins, or
+    after the fetch tasks' offers landed on it) makes the crawl raise;
+    resuming the checkpoint on a new shard set is oracle-equal."""
+    import ray
+
+    from raycrawl import crawl as crawl_mod
+    from raycrawl.crawl import crawl
+
+    def kill(handle):
+        ray.kill(handle, no_restart=True)
+        # ray.kill is asynchronous: wait until the shard is gone
+        deadline = time.monotonic() + 60
+        with pytest.raises(ray.exceptions.RayActorError):
+            while time.monotonic() < deadline:
+                ray.get(handle.size.remote(), timeout=60)
+                time.sleep(0.1)
+
+    real_round, real_barrier = crawl_mod._run_round, crawl_mod._finish_barrier
+    rounds: list[tuple[int, list[str]]] = []
+    armed = [True]
+
+    def round_spy(ckpt, r, crawl_id, cfg, corpus_ref, seen_handles, **kw):
+        rounds.append((r, _ids(seen_handles)))
+        if r == 2 and when == "round_start" and armed[0]:
+            kill(seen_handles[0])
+        return real_round(ckpt, r, crawl_id, cfg, corpus_ref, seen_handles,
+                          **kw)
+
+    def barrier_spy(rdir, seen_handles, *a):
+        if (rdir.endswith("round=0002") and when == "before_barrier"
+                and armed[0]):
+            kill(seen_handles[0])
+        return real_barrier(rdir, seen_handles, *a)
+
+    monkeypatch.setattr(crawl_mod, "_run_round", round_spy)
+    monkeypatch.setattr(crawl_mod, "_finish_barrier", barrier_spy)
+    s0 = _seeds(tiny_corpus)[0]
+    ck = str(tmp_path / "ck")
+    with pytest.raises(ray.exceptions.RayActorError):
+        _run(tiny_corpus, s0["url"], int(s0["depth"]), ck)
+    assert [r for r, _ in rounds] == [1, 2]
+    assert not os.path.exists(os.path.join(ck, "round=0002", "_DONE"))
+    armed[0] = False
+    resumed = crawl(tiny_corpus, s0["url"], int(s0["depth"]), ck,
+                    crawl_id="t", resume=True)
+    _compare(resumed, oracle_crawl(tiny_corpus, s0["url"], int(s0["depth"]),
+                                   crawl_id="t"))
+    assert rounds[2][0] == 2  # the resume re-ran round 2 ...
+    assert not set(rounds[2][1]) & set(rounds[1][1])  # ... on new shards
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_checked_out_pool_gives_concurrent_crawl_its_own_set():
     """While one crawl holds the pool, another crawl in the same driver
     gets a set of its own, which is killed when that crawl ends."""
@@ -220,8 +275,8 @@ def test_checked_out_pool_gives_concurrent_crawl_its_own_set():
     from raycrawl.crawl import _seen_shards
 
     cfg = CrawlConfig(num_seen_shards=2)
-    with _seen_shards(cfg, 1000) as pooled:
-        with _seen_shards(cfg, 1000) as own:
+    with _seen_shards(cfg) as pooled:
+        with _seen_shards(cfg) as own:
             assert not set(_ids(own)) & set(_ids(pooled))
             assert ray.get(own[0].size.remote()) == 0
         # ray.kill is asynchronous: a call right after it can still reach
@@ -232,7 +287,7 @@ def test_checked_out_pool_gives_concurrent_crawl_its_own_set():
                 ray.get(own[0].size.remote(), timeout=60)
                 time.sleep(0.1)
         assert ray.get(pooled[0].size.remote()) == 0
-    with _seen_shards(cfg, 1000) as again:
+    with _seen_shards(cfg) as again:
         assert _ids(again) == _ids(pooled)
 
 
@@ -250,7 +305,7 @@ def test_pool_checkout_is_exclusive_across_threads():
     from raycrawl.crawl import _seen_shards
 
     cfg = CrawlConfig(num_seen_shards=1)
-    with _seen_shards(cfg, 1000) as pooled:
+    with _seen_shards(cfg) as pooled:
         pool_ids = _ids(pooled)
     lock = threading.Lock()
     holders, most, errors = [0], [0], []
@@ -258,7 +313,7 @@ def test_pool_checkout_is_exclusive_across_threads():
     def worker():
         try:
             for _ in range(2):
-                with _seen_shards(cfg, 1000) as h:
+                with _seen_shards(cfg) as h:
                     mine = _ids(h) == pool_ids
                     with lock:
                         holders[0] += mine
