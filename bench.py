@@ -132,7 +132,6 @@ def _run_headline(num_cpus: int, tag: str) -> dict:
     seed = pq.read_table(os.path.join(corpus, "seeds.parquet")).to_pylist()[0]
     corpus_table = build_fetch_corpus(corpus)  # untimed driver-side load
 
-    partitioned = os.environ.get("RAYCRAWL_BENCH_PARTITIONED") == "1"
     # politeness datapoint (north-star lane): RAYCRAWL_BENCH_POLITENESS_MS>0
     # runs the same crawl with the per-host delay budget + host-partitioned
     # frontier; BASELINE.md records the measured cost vs the default run
@@ -146,10 +145,6 @@ def _run_headline(num_cpus: int, tag: str) -> dict:
     cfg = CrawlConfig(
         enrich=True,
         fetch_batch_size=1024,
-        # 100 TB corpus layout (no broadcast; per-worker partition LRU)
-        corpus_partitioned=partitioned,
-        corpus_partitions=64,
-        corpus_cache_parts=16,
         politeness_delay_ms=politeness_ms,
         neardup_threshold=neardup,
     )

@@ -2,7 +2,9 @@
 
 Mirrors the reference's env-var knobs (feeder/src/config.rs:26-39,
 manager/src/config.rs:23-34) as a dataclass, plus the Ray-side knobs the
-reference has no analogue for (shard counts, batch sizes, corpus layout).
+reference has no analogue for (shard counts, batch sizes). The fetch
+corpus has one layout: broadcast through the object store
+(``fetch.broadcast_corpus``), so it must fit there.
 """
 
 from __future__ import annotations
@@ -47,11 +49,3 @@ class CrawlConfig:
     # is refused (the prior rounds' index files don't exist).
     neardup_threshold: float | None = None
 
-    # Corpus layout: broadcast (default; small corpora) vs host-hash-
-    # partitioned Parquet (the 100 TB shape — fetch tasks load only the
-    # partitions their rows touch through a per-worker LRU; the frontier is
-    # hash-repartitioned on the same key for locality). Oracle-equal to
-    # broadcast by pytest.
-    corpus_partitioned: bool = False
-    corpus_partitions: int = 32
-    corpus_cache_parts: int = 8

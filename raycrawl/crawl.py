@@ -46,7 +46,7 @@ import pyarrow.parquet as pq
 
 from raycrawl import dns_synth, sim
 from raycrawl.config import CrawlConfig
-from raycrawl.fetch import build_fetch_corpus
+from raycrawl.fetch import broadcast_corpus, build_fetch_corpus
 from raycrawl.frontier import (
     EDGES_SCHEMA,
     NODES_SCHEMA,
@@ -331,28 +331,23 @@ def _finish_barrier(rdir: str, seen_handles, nodes_path: str, edges_path: str):
     return stats
 
 
-def _frontier_slices(frontier: pa.Table, batch_size: int, corpus_ref,
+def _frontier_slices(frontier: pa.Table, batch_size: int,
                      ncpu: int) -> list[pa.Table]:
     """Split a round's frontier into k = max(1, min(n, 4 × CPUs, max(CPUs,
     ⌈n / batch_size⌉))) slices, one fetch task each, so every round of at
     least CPUs rows keeps every CPU busy and a large round still splits
-    by ``batch_size``. Row → slice ``host_partition_ids(name, P) % k``,
-    P = the corpus partition count (else k): every row of one host lands
-    in one task (the per-host politeness budget), and with a partitioned
-    corpus a slice holds whole corpus partitions, partition-major, so its
-    fetch loop pages each one in once. Returns k tables; some may be
-    empty (a host-keyed split is only as even as the hosts)."""
-    from raycrawl.fetch import PartitionedCorpus, host_partition_ids
+    by ``batch_size``. Row → slice ``host_partition_ids(name, k)``: every
+    row of one host lands in one task (the per-host politeness budget).
+    Returns k tables; some may be empty (a host-keyed split is only as
+    even as the hosts)."""
+    from raycrawl.fetch import host_partition_ids
 
     n = frontier.num_rows
     k = max(1, min(n, 4 * ncpu, max(ncpu, -(-n // batch_size))))
     if k == 1:
         return [frontier]
-    n_parts = (corpus_ref.n_parts if isinstance(corpus_ref, PartitionedCorpus)
-               else k)
-    part = host_partition_ids(frontier["name"], n_parts)
-    sid = part % k
-    order = np.lexsort((part, sid))
+    sid = host_partition_ids(frontier["name"], k)
+    order = np.argsort(sid, kind="stable")
     frontier = frontier.take(pa.array(order))
     bounds = np.searchsorted(sid[order], np.arange(k + 1))
     return [frontier.slice(int(a), int(b - a))
@@ -432,7 +427,7 @@ def _run_round(ckpt: str, r: int, crawl_id: str, cfg: CrawlConfig,
         prev = os.path.join(_round_dir(ckpt, r - 1), "frontier")
         frontier = pads.dataset(_parquet_files([prev])).to_table()
     ncpu = int(ray.cluster_resources().get("CPU", 1))
-    slices = _frontier_slices(frontier, cfg.fetch_batch_size, corpus_ref, ncpu)
+    slices = _frontier_slices(frontier, cfg.fetch_batch_size, ncpu)
     nodes_path, edges_path = _begin_round(rdir, r, seen_handles, seed_id)
     ro_path = os.path.join(rdir, "round_out")
 
@@ -667,8 +662,10 @@ def crawl(
     corpus_ref=None,
 ) -> CrawlResult:
     """Run (or resume) one crawl end-to-end. Requires an initialized Ray.
-    Pass a pre-built ``corpus_table`` (build_fetch_corpus) to skip the
-    driver-side corpus load (bench separates corpus load from crawl time)."""
+    Pass a pre-built ``corpus_table`` (build_fetch_corpus) or its
+    ``broadcast_corpus`` ref ``corpus_ref`` to skip the driver-side corpus
+    load (bench separates corpus load from crawl time). Resuming against
+    another ``corpus_dir`` than the crawl's own raises ``StateError``."""
     import ray
 
     cfg = cfg or CrawlConfig()
@@ -679,13 +676,17 @@ def crawl(
             meta = json.load(f)
         crawl_id = meta["crawl_id"]
         seed_url, depth = meta["seed_url"], meta["depth"]
+        if os.path.realpath(corpus_dir) != os.path.realpath(meta["corpus_dir"]):
+            raise StateError(
+                f"{ckpt_dir} is a crawl of the corpus {meta['corpus_dir']}; "
+                f"resuming it over {corpus_dir} would mix two corpora")
     else:
         shutil.rmtree(ckpt_dir, ignore_errors=True)
         os.makedirs(ckpt_dir, exist_ok=True)
         crawl_id = crawl_id or str(uuid.uuid4())
         with open(meta_path, "w") as f:
             json.dump(dict(crawl_id=crawl_id, seed_url=seed_url, depth=depth,
-                           corpus_dir=corpus_dir), f)
+                           corpus_dir=os.path.realpath(corpus_dir)), f)
 
     rn, rp = normalize_url(seed_url)
     seed_id = rp + rn
@@ -694,34 +695,16 @@ def crawl(
 
     _ph = {}  # coarse phase timers, dumped to ckpt/phases.json for tuning
     _t = _time.perf_counter()
-    if cfg.corpus_partitioned:
-        # 100 TB corpus layout: nothing ever broadcasts; the bootstrap loads
-        # only the root's host partition, fetch tasks page partitions in
-        # through a per-worker LRU (fetch.py PartitionedCorpus).
-        from raycrawl.fetch import (PartitionedCorpus, ensure_partitioned_corpus,
-                                    host_partition_ids)
-
-        part_dir = ensure_partitioned_corpus(corpus_dir, cfg.corpus_partitions)
-        pcorpus = PartitionedCorpus.open(part_dir, cfg.corpus_cache_parts)
-        boot_table = pcorpus.partition_table(
-            int(host_partition_ids([rn], pcorpus.n_parts)[0])
-        )
-        if not os.path.exists(os.path.join(_round_dir(ckpt_dir, 0), "_DONE")):
-            _bootstrap(ckpt_dir, boot_table, seed_url, depth, crawl_id, cfg)
-        corpus_ref = pcorpus
-    else:
-        from raycrawl.fetch import broadcast_corpus, resolve_corpus_table
-
-        if corpus_table is None and corpus_ref is not None:
-            corpus_table = resolve_corpus_table(ray.get(corpus_ref))
-        if corpus_table is None:
-            corpus_table = build_fetch_corpus(corpus_dir)
-        if not os.path.exists(os.path.join(_round_dir(ckpt_dir, 0), "_DONE")):
-            _bootstrap(ckpt_dir, corpus_table, seed_url, depth, crawl_id, cfg)
-        if corpus_ref is None:
-            # broadcast table + driver-precomputed sorted index: workers
-            # warm zero-copy instead of each re-indexing the corpus
-            corpus_ref = broadcast_corpus(corpus_table)
+    if corpus_table is None and corpus_ref is not None:
+        corpus_table = ray.get(corpus_ref)[0]
+    if corpus_table is None:
+        corpus_table = build_fetch_corpus(corpus_dir)
+    if not os.path.exists(os.path.join(_round_dir(ckpt_dir, 0), "_DONE")):
+        _bootstrap(ckpt_dir, corpus_table, seed_url, depth, crawl_id, cfg)
+    if corpus_ref is None:
+        # broadcast table + driver-precomputed sorted index: workers
+        # warm zero-copy instead of each re-indexing the corpus
+        corpus_ref = broadcast_corpus(corpus_table)
 
     _ph["corpus_boot_s"] = round(_time.perf_counter() - _t, 4)
 

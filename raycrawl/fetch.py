@@ -4,39 +4,29 @@ The reference fetches the live web with a pooled ``reqwest`` client, one URL
 per worker iteration (shared/src/crawler.rs:18-51; client
 feeder/src/main.rs:33-36; 8 workers, web-crawler/values.yaml:45).  Here
 "fetching" ``http_type + name`` is a hash lookup of the frontier row against
-the frozen page corpus, in one of two layouts:
+the frozen page corpus. The driver ``ray.put``s the pages table ONCE
+(zero-copy Arrow in the object store) with its sorted key index
+(``broadcast_corpus``, ``CorpusIndex``); each *worker process* maps both
+on first use, cached at module level — Ray worker processes persist across
+tasks and rounds. So the whole corpus must fit in the object store.
 
-- **broadcast** (small corpus): the driver ``ray.put``s the pages table
-  ONCE (zero-copy Arrow in the object store) with its sorted key index
-  (``CorpusIndex``); each *worker process* maps both on first use, cached
-  at module level — Ray worker processes persist across tasks and rounds;
-- **host-hash-partitioned** (the 100 TB design point — the whole corpus can
-  never broadcast): ``ensure_partitioned_corpus`` writes the pages once as
-  P Parquet partitions keyed by ``hash128(host) % P``; each fetch task
-  loads ONLY the partitions its rows touch, through a per-worker LRU of
-  partition indexes (``PartitionedCorpus``). The crawl driver hash-
-  repartitions each round's frontier on the same key so a task touches ~1
-  partition. Per-row fetch semantics are identical — a pytest asserts the
-  two layouts produce oracle-equal crawls.
-
-``fetch_pages`` fetches one frontier batch: the corpus lookup per
-partition run, the simulated status and latency per row, then the OK
-rows' HTML taken as one column for the batch extractor.
+``corpus_rows`` and ``corpus_html`` are the one corpus lookup — key hashes
+in, corpus rows out, then those rows' HTML — for both the fetch stage
+(``fetch_pages``) and the near-dup text pass (``ingest_dedup._page_texts``),
+so only this module knows the corpus layout. ``fetch_pages`` fetches one
+frontier batch: the corpus lookup, the simulated status and latency per
+row, then the OK rows' HTML taken as one column for the batch extractor.
 
 Politeness / per-host budget (north-star feature; the reference has none —
 SURVEY §2.6 L1) lives here too: per-worker host clocks spacing fetches by
 the configured minimum interval. Global (not just per-worker) enforcement
-requires the frontier to be host-partitioned, which the crawl driver does
-when politeness is on.
+requires every row of a host to be fetched by one task, which the crawl
+driver's host-keyed slices (``host_partition_ids``) guarantee.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import time
-from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -50,7 +40,6 @@ STATUS_ROBOTS = 999
 
 # per-worker-process caches (persist across tasks/rounds)
 _CORPUS_CACHE: dict = {}
-_PART_CACHE: OrderedDict = OrderedDict()  # (part_dir, p) -> (index, html_col)
 _ROBOTS_CACHE: dict[str, bool] = {}
 _HOST_CLOCK: dict[str, float] = {}
 
@@ -108,10 +97,9 @@ class CorpusIndex:
 
 
 def broadcast_corpus(corpus_table: pa.Table):
-    """Driver-side corpus prep for the broadcast layout: compute the sorted
-    CorpusIndex ONCE and ``ray.put`` it alongside the table, so worker
-    warm-up is a zero-copy plasma read (the partitioned layout's analogue
-    is the prebuilt on-disk ``ensure_partitioned_corpus`` cache)."""
+    """Driver-side corpus prep: compute the sorted CorpusIndex ONCE and
+    ``ray.put`` it alongside the table, so worker warm-up is a zero-copy
+    plasma read."""
     import ray
 
     idx = CorpusIndex.build(
@@ -121,38 +109,56 @@ def broadcast_corpus(corpus_table: pa.Table):
     return ray.put((corpus_table, idx.keys, idx.perm))
 
 
-def resolve_corpus_table(obj) -> pa.Table:
-    """The pages table behind either broadcast payload shape."""
-    return obj[0] if isinstance(obj, tuple) else obj
-
-
 def get_corpus_index(corpus_ref):
-    """(CorpusIndex, html column) for a broadcast corpus ref; cached per
-    worker process (zero-copy ray.get from plasma on first call). Accepts
-    a ref to either a bare pages table (index built here, once per worker)
-    or a ``broadcast_corpus`` (table, keys, perm) payload (index arrives
-    precomputed, zero-copy)."""
-    key = corpus_ref.hex() if hasattr(corpus_ref, "hex") else id(corpus_ref)
+    """(CorpusIndex, html column) for a ``broadcast_corpus`` ref; cached
+    per worker process (zero-copy ray.get from plasma on first call)."""
+    import ray
+
+    key = corpus_ref.hex()
     hit = _CORPUS_CACHE.get(key)
     if hit is not None:
         return hit
-    if isinstance(corpus_ref, (pa.Table, tuple)):
-        obj = corpus_ref
-    else:
-        import ray
-
-        obj = ray.get(corpus_ref)
-    if isinstance(obj, tuple):
-        table, keys, perm = obj
-        index = CorpusIndex(keys, perm)
-    else:
-        table = obj
-        index = CorpusIndex.build(
-            table["name"].combine_chunks(), table["http_type"].combine_chunks()
-        )
+    table, keys, perm = ray.get(corpus_ref)
     _CORPUS_CACHE.clear()  # one corpus live at a time per worker
-    _CORPUS_CACHE[key] = (index, table["html"])
+    _CORPUS_CACHE[key] = (CorpusIndex(keys, perm), table["html"])
     return _CORPUS_CACHE[key]
+
+
+def corpus_rows(corpus_ref, khi: np.ndarray, klo: np.ndarray) -> np.ndarray:
+    """The corpus join: corpus-key hashes → corpus row per key, -1 on a
+    miss."""
+    return get_corpus_index(corpus_ref)[0].lookup(khi, klo)
+
+
+def corpus_html(corpus_ref, rows: np.ndarray) -> pa.Array:
+    """The HTML of corpus ``rows`` (every one a hit), in their order, as
+    one large_binary column."""
+    return _take_large(get_corpus_index(corpus_ref)[1], rows)
+
+
+def _take_large(col: pa.ChunkedArray, rows: np.ndarray) -> pa.Array:
+    """``col.take(rows)`` as large_binary, O(result), not O(source): Arrow's
+    ChunkedArray.take CONCATENATES the source chunks first — both an
+    int32-offset overflow on a >2 GiB corpus column and a whole-corpus
+    memcpy per batch. Instead, map each global index to (chunk, local),
+    take per chunk (Array.take is a straight gather), and reorder the
+    small result."""
+    idx = np.asarray(rows, np.int64)
+    if not len(idx):
+        return pa.array([], pa.large_binary())
+    if col.num_chunks == 1:
+        return pc.cast(col.chunk(0).take(pa.array(idx)), pa.large_binary())
+    bounds = np.cumsum([0] + [len(ch) for ch in col.chunks])
+    cid = np.searchsorted(bounds, idx, side="right") - 1
+    order = np.argsort(cid, kind="stable")
+    inv = np.empty(len(idx), np.int64)
+    inv[order] = np.arange(len(idx))
+    pieces = []
+    for ci in np.unique(cid):
+        local = idx[cid == ci] - bounds[ci]
+        pieces.append(pc.cast(col.chunk(int(ci)).take(pa.array(local)),
+                              pa.large_binary()))
+    return pa.concat_arrays(pieces).take(pa.array(inv))
 
 
 def _hosts_of_names(names: pa.Array) -> pa.Array:
@@ -162,124 +168,15 @@ def _hosts_of_names(names: pa.Array) -> pa.Array:
 
 
 def host_partition_ids(names, n_parts: int) -> np.ndarray:
-    """hash128(host) % P for a name column — THE corpus partition key,
-    shared by the partition writer, the frontier repartition, and the
-    fetch-time lookup."""
+    """hash128(host) % P for a name column — the slice key: the crawl
+    driver splits each round's frontier on it, so every row of one host
+    is fetched by one task (the per-host politeness budget)."""
     from raycrawl.kernels import hash128
 
-    if not isinstance(names, (pa.Array, pa.ChunkedArray)):
-        names = pa.array(list(names), pa.string())
     if isinstance(names, pa.ChunkedArray):
         names = names.combine_chunks()
     hi, _ = hash128(_hosts_of_names(names))
     return (hi % np.uint64(n_parts)).astype(np.int64)
-
-
-def ensure_partitioned_corpus(corpus_dir: str, n_parts: int = 32,
-                              out_root: str = "/tmp/raycrawl_corpus_parts") -> str:
-    """Write (once, cached) the host-hash-partitioned layout of a corpus:
-    ``part-PPP.parquet`` holds the pages whose host hashes to partition P,
-    plus ``meta.json`` (n_parts, num_rows). This is the on-disk shape the
-    100 TB deployment keeps its page store in; at test scale we derive it
-    from the flat pages.parquet."""
-    from raycrawl.kernels import HASH128_VERSION
-
-    # cache key carries the partitioning-hash version: a (never-expected)
-    # hash128 definition change must invalidate the layout, not serve pages
-    # from the wrong partition
-    tag = hashlib.md5(os.path.abspath(corpus_dir).encode()).hexdigest()[:12]
-    out = os.path.join(out_root, f"{tag}_p{n_parts}_h{HASH128_VERSION}")
-    if os.path.exists(os.path.join(out, "_SUCCESS")):
-        return out
-    # build into a temp dir + atomic rename so two concurrent builders
-    # can't interleave partial writes
-    tmp = f"{out}.tmp.{os.getpid()}"
-    os.makedirs(tmp, exist_ok=True)
-    table = build_fetch_corpus(corpus_dir)
-    part = host_partition_ids(table["name"], n_parts)
-    for p in range(n_parts):
-        idx = np.flatnonzero(part == p)
-        pq.write_table(table.take(pa.array(idx, pa.int64())),
-                       os.path.join(tmp, f"part-{p:03d}.parquet"))
-    with open(os.path.join(tmp, "meta.json"), "w") as f:
-        json.dump(dict(n_parts=n_parts, num_rows=table.num_rows), f)
-    with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-        f.write("ok")
-    try:
-        os.rename(tmp, out)
-    except OSError as e:  # lost the race — the winner's layout is equivalent
-        import shutil
-
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not os.path.exists(os.path.join(out, "_SUCCESS")):
-            # not a race after all — fail here with the real cause instead
-            # of a FileNotFoundError at the first partition read
-            raise RuntimeError(
-                f"partitioned-corpus publish failed for {out}") from e
-    return out
-
-
-class PartitionedCorpus:
-    """Picklable fetch-corpus handle for the partitioned layout. Tiny (a
-    path + a count) — ships by value into every task; the data moves only
-    partition-by-partition, on demand, into a per-worker LRU."""
-
-    def __init__(self, part_dir: str, n_parts: int, num_rows: int,
-                 cache_parts: int = 8):
-        self.part_dir = part_dir
-        self.n_parts = n_parts
-        self.num_rows = num_rows
-        self.cache_parts = cache_parts
-
-    @classmethod
-    def open(cls, part_dir: str, cache_parts: int = 8) -> "PartitionedCorpus":
-        with open(os.path.join(part_dir, "meta.json")) as f:
-            meta = json.load(f)
-        return cls(part_dir, meta["n_parts"], meta["num_rows"], cache_parts)
-
-    def batch_parts(self, names) -> np.ndarray:
-        return host_partition_ids(names, self.n_parts)
-
-    def slot(self, p: int):
-        """(CorpusIndex, html column) for partition p, via the per-worker
-        LRU (partition parquet read + index build on miss)."""
-        key = (self.part_dir, int(p))
-        hit = _PART_CACHE.get(key)
-        if hit is not None:
-            _PART_CACHE.move_to_end(key)
-            return hit
-        table = pq.read_table(os.path.join(self.part_dir, f"part-{int(p):03d}.parquet"))
-        index = CorpusIndex.build(
-            table["name"].combine_chunks(), table["http_type"].combine_chunks()
-        )
-        _PART_CACHE[key] = (index, table["html"])
-        while len(_PART_CACHE) > self.cache_parts:
-            _PART_CACHE.popitem(last=False)
-        return _PART_CACHE[key]
-
-    def partition_table(self, p: int) -> pa.Table:
-        return pq.read_table(os.path.join(self.part_dir, f"part-{int(p):03d}.parquet"))
-
-
-class BroadcastCorpus:
-    """Uniform fetch-corpus interface over the broadcast layout."""
-
-    def __init__(self, corpus_ref):
-        self.corpus_ref = corpus_ref
-
-    def batch_parts(self, names) -> None:
-        return None
-
-    def slot(self, p: int = 0):
-        return get_corpus_index(self.corpus_ref)
-
-
-def get_fetcher(corpus_ref):
-    """corpus_ref (ObjectRef | pa.Table | PartitionedCorpus) → fetcher with
-    ``batch_parts``/``slot``."""
-    if isinstance(corpus_ref, PartitionedCorpus):
-        return corpus_ref
-    return BroadcastCorpus(corpus_ref)
 
 
 def robots_blocked(host: str) -> bool:
@@ -299,8 +196,8 @@ def politeness_wait(host: str, delay_s: float) -> None:
     _HOST_CLOCK[host] = time.monotonic()
 
 
-def fetch_pages(fetcher, batch: pa.Table, khi: np.ndarray, klo: np.ndarray,
-                politeness_delay_s: float = 0.0,
+def fetch_pages(corpus_ref, batch: pa.Table, khi: np.ndarray,
+                klo: np.ndarray, politeness_delay_s: float = 0.0,
                 respect_robots: bool = False):
     """Simulated fetch of every frontier row in ``batch`` → ``(status,
     elapsed_ms, page_row, pages)``: per-row HTTP status and latency, and the
@@ -310,8 +207,7 @@ def fetch_pages(fetcher, batch: pa.Table, khi: np.ndarray, klo: np.ndarray,
     Status and latency stay per row: the simulator's per-URL hashes stand
     in for the network (shared/src/crawler.rs:18-51), and so do robots and
     the politeness clock. Rows are visited in (depth, name) order when
-    politeness is on (per-host queue order, north-star L1), partition-major
-    (stable) for a partitioned corpus, so each partition slot loads once."""
+    politeness is on (per-host queue order, north-star L1)."""
     n = batch.num_rows
     names = batch["name"].to_pylist()
     protos = batch["http_type"].to_pylist()
@@ -322,31 +218,20 @@ def fetch_pages(fetcher, batch: pa.Table, khi: np.ndarray, klo: np.ndarray,
             pa.table({"d": batch["depth"], "n": batch["name"]}),
             sort_keys=[("d", "ascending"), ("n", "ascending")]
         ).to_numpy().astype(np.int64)
-    parts = fetcher.batch_parts(batch["name"])  # None for broadcast
-    if parts is not None:
-        order = order[np.argsort(parts[order], kind="stable")]
-    pvals = parts[order] if parts is not None else np.zeros(n, np.int64)
+    hit = corpus_rows(corpus_ref, khi, klo)
+    found = (hit >= 0).tolist()
     status = np.zeros(n, dtype=np.int64)
     elapsed = np.zeros(n, dtype=np.float64)
-    page_rows, htmls = [np.empty(0, np.int64)], []
-    bounds = np.append(np.flatnonzero(np.diff(pvals)) + 1, n)
-    for start, end in zip(np.append(0, bounds[:-1]), bounds[bounds > 0]):
-        rows = order[start:end]
-        index, html_col = fetcher.slot(int(pvals[start]))
-        hit = index.lookup(khi[rows], klo[rows])
-        for i, idx in zip(rows.tolist(), hit.tolist()):
-            host = host_of(names[i])
-            if respect_robots and robots_blocked(host):
-                status[i] = STATUS_ROBOTS
-                continue
-            if politeness_delay_s > 0:
-                politeness_wait(host, politeness_delay_s)
-            status[i] = sim.fetch_status(names[i], protos[i],
-                                         int(attempts[i] or 0) + 1, idx >= 0)
-            elapsed[i] = sim.fetch_elapsed_ms(names[i], protos[i])
-        ok = status[rows] == sim.STATUS_OK
-        page_rows.append(rows[ok])
-        htmls.extend(html_col.take(pa.array(hit[ok])).chunks)
-    pages = (decode_html_col(pa.concat_arrays(htmls)) if htmls
-             else pa.array([], pa.string()))
-    return status, elapsed, np.concatenate(page_rows), pages
+    for i in order.tolist():
+        host = host_of(names[i])
+        if respect_robots and robots_blocked(host):
+            status[i] = STATUS_ROBOTS
+            continue
+        if politeness_delay_s > 0:
+            politeness_wait(host, politeness_delay_s)
+        status[i] = sim.fetch_status(names[i], protos[i],
+                                     int(attempts[i] or 0) + 1, found[i])
+        elapsed[i] = sim.fetch_elapsed_ms(names[i], protos[i])
+    page_rows = order[status[order] == sim.STATUS_OK]
+    pages = decode_html_col(corpus_html(corpus_ref, hit[page_rows]))
+    return status, elapsed, page_rows, pages

@@ -45,7 +45,7 @@ import numpy as np
 import pyarrow as pa
 
 from raycrawl import dns_synth, sim
-from raycrawl.fetch import STATUS_ROBOTS, get_fetcher
+from raycrawl.fetch import STATUS_ROBOTS
 from raycrawl.kernels import hash128
 from raycrawl.seen import SeenRouter
 
@@ -462,7 +462,7 @@ def fetch_expand_batch(
     _t = _time.perf_counter()
     khi, klo = hash128(corpus_key_strings(col["name"], col["http_type"]))
     status_np, elapsed_all, page_row, pages = fetch_pages(
-        get_fetcher(corpus_ref), batch, khi, klo,
+        corpus_ref, batch, khi, klo,
         politeness_delay_s=politeness_delay_ms / 1000.0,
         respect_robots=respect_robots)
     page_of, cand = extract_link_sets(pages)

@@ -42,10 +42,10 @@ Scale notes: the text, shingle, band and signature pass
 (``_shingle_band_batch``) runs inside the crawl's fetch tasks, one
 ``fetch_batch_size`` chunk at a time, so it uses every CPU the fetch
 stage uses; the driver keeps only the probe, bounded by the round's
-fetched count, and fans its prefilter+verify slices out as Ray tasks
-above ``_VERIFY_RAY_GATE`` candidate pairs. Page identity is carried as
-the high 64 bits of the 128-bit node-id hash; at 10^10-frontier scale
-carry the full (hi, lo) pair like fetch.CorpusIndex.
+fetched count, and runs its prefilter+verify slices one at a time, in
+process. Page identity is carried as the high 64 bits of the 128-bit
+node-id hash; at 10^10-frontier scale carry the full (hi, lo) pair like
+fetch.CorpusIndex.
 """
 
 from __future__ import annotations
@@ -134,62 +134,17 @@ def _pids(node_ids) -> np.ndarray:
 
 
 def _page_texts(parents: pa.Table, corpus_ref) -> pa.Array:
-    """Tag-stripped body text per COMPLETED parent, via the same corpus
-    lookup layout the fetch stage uses (broadcast index or partitioned
-    LRU) — vectorized hash lookup + Arrow take + one regex kernel."""
-    from raycrawl.fetch import corpus_key_strings, get_fetcher
+    """Tag-stripped body text per COMPLETED parent, through the fetch
+    stage's corpus lookup (``fetch.corpus_rows``/``corpus_html``) —
+    vectorized hash lookup + Arrow take + one regex kernel."""
+    from raycrawl.fetch import corpus_html, corpus_key_strings, corpus_rows
     from raycrawl.kernels import hash128
 
-    fetcher = get_fetcher(corpus_ref)
-    names = parents["name"].combine_chunks()
-    protos = parents["http_type"].combine_chunks()
-    n = parents.num_rows
-    qhi, qlo = hash128(corpus_key_strings(names, protos))
-    parts = fetcher.batch_parts(names)
-    if parts is None:
-        index, html_col = fetcher.slot(0)
-        rows = index.lookup(qhi, qlo)
-        html = _take_large(html_col, rows)
-    else:
-        order = np.argsort(parts, kind="stable")
-        inv = np.empty(n, np.int64)
-        inv[order] = np.arange(n)
-        pieces = []
-        for p in np.unique(parts):
-            m = np.flatnonzero(parts == p)
-            index, html_p = fetcher.slot(int(p))
-            rows = index.lookup(qhi[m], qlo[m])
-            taken = _take_large(html_p, rows)
-            pieces.extend(taken.chunks if isinstance(taken, pa.ChunkedArray)
-                          else [taken])
-        html = pa.chunked_array(pieces).take(pa.array(inv))
+    qhi, qlo = hash128(corpus_key_strings(parents["name"].combine_chunks(),
+                                          parents["http_type"].combine_chunks()))
+    html = corpus_html(corpus_ref, corpus_rows(corpus_ref, qhi, qlo))
     return pc.replace_substring_regex(
         pc.cast(html, pa.large_string()), pattern=_TAG_PAT, replacement="")
-
-
-def _take_large(col, rows: np.ndarray):
-    """``col.take(rows)`` that is O(result), not O(source): Arrow's
-    ChunkedArray.take CONCATENATES the source chunks first — both an
-    int32-offset overflow on a >2 GiB corpus column and a whole-corpus
-    memcpy per batch. Instead, map each global index to (chunk, local),
-    take per chunk (Array.take is a straight gather), and reorder the
-    small result."""
-    idx = np.asarray(rows, np.int64)
-    if isinstance(col, pa.Array):
-        return pc.cast(col.take(pa.array(idx)), pa.large_binary())
-    if col.num_chunks == 1:
-        return pc.cast(col.chunk(0).take(pa.array(idx)), pa.large_binary())
-    bounds = np.cumsum([0] + [len(ch) for ch in col.chunks])
-    cid = np.searchsorted(bounds, idx, side="right") - 1
-    order = np.argsort(cid, kind="stable")
-    inv = np.empty(len(idx), np.int64)
-    inv[order] = np.arange(len(idx))
-    pieces = []
-    for ci in np.unique(cid):
-        local = idx[cid == ci] - bounds[ci]
-        pieces.append(pc.cast(col.chunk(int(ci)).take(pa.array(local)),
-                              pa.large_binary()))
-    return pa.chunked_array(pieces).take(pa.array(inv))
 
 
 def _gather_segments(flat: np.ndarray, offs: np.ndarray,
@@ -229,12 +184,6 @@ PREFILTER_MARGIN = 0.2
 # only on stage-1 survivors)
 _PAIR_CHUNK = 2_000_000
 
-# above this many candidate pairs the prefilter+verify slices fan out as
-# Ray tasks over plasma-shared (zero-copy, read-only) signature/shingle
-# arrays — a bench round carries 10^8-10^9 candidates and the slices are
-# embarrassingly parallel. Below it the same slices run inline.
-_VERIFY_RAY_GATE = 8_000_000
-
 # the stage-1 prefilter estimates jaccard from only the FIRST 16 of the
 # 64 signature bytes (a separate 16-byte-row array, so a cache line
 # carries 4 pairs instead of 1) with an extra 0.15 margin; a TRUE pair
@@ -255,8 +204,8 @@ _GRAM_BUDGET = 32_000_000
 
 def _fused_verify_chunk(sigA16, sigA, sigB16, sigB, flatA, offsA, iordA,
                         flatB, offsB, ea, lb, est_cut, threshold):
-    """One candidate slice, fused end-to-end in the worker: two-stage
-    signature prefilter → gram-budget-bounded shingle gather + exact
+    """One candidate slice, fused end-to-end: two-stage signature
+    prefilter → gram-budget-bounded shingle gather + exact
     segmented jaccard → per-later-row reduce to the earliest-ingestion
     surviving match. Side A is the earlier/indexed side (`ea` indexes
     its signature and shingle rows; ``iordA`` is its ingestion order),
@@ -395,39 +344,13 @@ def _iter_inter_slices(op, lo, csum, nz, new_rows_q, mp, total):
         yield np.searchsorted(mp, op[pos]), new_rows_q[nz[itv]]
 
 
-def _run_sliced(fn, slices, refs: tuple, use_ray: bool, consume) -> None:
-    """Run ``fn(*refs, *args)`` for each arg tuple yielded by ``slices``
-    — as wave-limited parallel Ray tasks when ``use_ray``, inline
-    otherwise — and hand each result to ``consume`` as it lands (the
-    per-row-min merge is commutative, so arrival order is fine). Slices
-    are GENERATED lazily (a slice is materialized only while a task
-    slot is free for it) and results are never collected into a list,
-    so peak driver memory is in-flight waves × slice size, never the
-    candidate or result total."""
-    if use_ray:
-        import ray
-
-        refs_p = tuple(ray.put(x) for x in refs)
-        rfn = ray.remote(fn)
-        # wave-limited submission: each in-flight task holds slice
-        # scratch, so unbounded fan-out OOMs the box — cap in-flight at
-        # a fraction of the CPU count and drain as they finish
-        max_inflight = max(4, int(ray.cluster_resources().get("CPU", 8))
-                           // 3)
-        pending: set = set()
-        for args in slices:
-            if len(pending) >= max_inflight:
-                done, _ = ray.wait(list(pending), num_returns=1)
-                pending.discard(done[0])
-                consume(ray.get(done[0]))
-            pending.add(rfn.remote(*refs_p, *args))
-        while pending:
-            done, _ = ray.wait(list(pending), num_returns=1)
-            pending.discard(done[0])
-            consume(ray.get(done[0]))
-    else:
-        for args in slices:
-            consume(fn(*refs, *args))
+def _run_sliced(fn, slices, refs: tuple, consume) -> None:
+    """Run ``fn(*refs, *args)`` in the driver for each arg tuple yielded
+    by ``slices`` and hand each result to ``consume``. Slices are
+    GENERATED lazily and results are never collected into a list, so
+    peak memory is one slice, never the candidate or result total."""
+    for args in slices:
+        consume(fn(*refs, *args))
 
 
 def _shingle_band_batch(t: pa.Table, corpus_ref, k: int = 3) -> pa.Table:
@@ -586,7 +509,7 @@ def probe_and_index_round(ckpt: str, r: int, parents: pa.Table, corpus_ref,
                                               rank, n)),
             (sig16, sig8, sig16, sig8, new_flat, new_offs, rank,
              new_flat, new_offs),
-            total_intra > _VERIFY_RAY_GATE, _consume_intra)
+            _consume_intra)
 
     # --- inter-round candidates: every prior round's band rows ---
     total_inter = 0
@@ -647,10 +570,10 @@ def probe_and_index_round(ckpt: str, r: int, parents: pa.Table, corpus_ref,
                 op, lo, csum, nz, brow, mp, total_inter)),
             (m_sig16, m_sig, sig16, sig8, oflat, ooffs, m_iord,
              new_flat, new_offs),
-            total_inter > _VERIFY_RAY_GATE, _consume_inter)
+            _consume_inter)
 
     # --- winner per later page: min (probe_round, node_id), already
-    # reduced per slice in the workers and merged scalar per row ---
+    # reduced per slice and merged scalar per row ---
     out_ids, out_of, out_j = [], [], []
     for row in sorted(matches):
         best = matches[row]

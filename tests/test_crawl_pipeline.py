@@ -45,9 +45,45 @@ def _compare(res, o):
 @pytest.mark.usefixtures("ray_session")
 def test_crawl_matches_oracle_seed0(tiny_corpus, tmp_path):
     s = _seeds(tiny_corpus)[0]
-    res = _run(tiny_corpus, s["url"], int(s["depth"]), str(tmp_path / "ck"))
     o = oracle_crawl(tiny_corpus, s["url"], int(s["depth"]), crawl_id="t")
-    _compare(res, o)
+    # 16-row batches split every round over several fetch tasks
+    for batch in (4096, 16):
+        res = _run(tiny_corpus, s["url"], int(s["depth"]),
+                   str(tmp_path / f"ck{batch}"),
+                   cfg=CrawlConfig(fetch_batch_size=batch))
+        _compare(res, o)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_multi_chunk_corpus_matches_single_chunk(tiny_corpus, tmp_path):
+    """A corpus table whose html column has several chunks (the gather
+    maps each row to its chunk) fetches the same pages: the crawl is
+    oracle-equal, and the near-dup page texts equal the single-chunk
+    ones and the corpus's own tag-stripped text."""
+    import pyarrow as pa
+
+    from raycrawl.fetch import broadcast_corpus, build_fetch_corpus
+    from raycrawl.ingest_dedup import _page_texts
+
+    t = build_fetch_corpus(tiny_corpus).combine_chunks()
+    k = t.num_rows // 3
+    chunked = pa.concat_tables([t.slice(0, k), t.slice(k)])
+    assert chunked["html"].num_chunks == 2
+    s = _seeds(tiny_corpus)[0]
+    res = _run(tiny_corpus, s["url"], int(s["depth"]), str(tmp_path / "ck"),
+               corpus_table=chunked)
+    _compare(res, oracle_crawl(tiny_corpus, s["url"], int(s["depth"]),
+                               crawl_id="t"))
+    # every corpus row, in an order that crosses the chunk boundary
+    rows = pa.array(list(range(t.num_rows - 1, -1, -2))
+                    + list(range(0, t.num_rows, 2)))
+    parents = t.select(["name", "http_type"]).take(rows)
+    one = _page_texts(parents, broadcast_corpus(t))
+    two = _page_texts(parents, broadcast_corpus(chunked))
+    assert two.equals(one)
+    text = pq.read_table(os.path.join(tiny_corpus, "pages.parquet"),
+                         columns=["text"])["text"].take(rows)
+    assert one.to_pylist() == text.to_pylist()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -137,20 +173,27 @@ def test_depth_one_no_rounds(tiny_corpus, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_partitioned_corpus_crawl_oracle_equal(tiny_corpus, tmp_path):
-    """The host-hash-partitioned fetch layout (the 100 TB shape: no corpus
-    broadcast, per-worker partition LRU, frontier hash-repartitioned on the
-    corpus key) is semantics-identical to the broadcast layout."""
+def test_resume_refuses_another_corpus_dir(tiny_corpus, tmp_path):
+    """A resume reads seed and depth from crawl.json; a corpus directory
+    other than the one the crawl ran over (by realpath) is refused, where
+    it would otherwise fetch the remaining rounds from another corpus.
+    The same directory through a symlink resumes."""
+    from raycrawl.crawl import crawl
+    from raycrawl.errors import StateError
+
     s = _seeds(tiny_corpus)[0]
-    o = oracle_crawl(tiny_corpus, s["url"], int(s["depth"]), crawl_id="t")
-    # 16-row batches split every round over several tasks, each holding
-    # whole corpus partitions
-    for batch in (4096, 16):
-        cfg = CrawlConfig(corpus_partitioned=True, corpus_partitions=8,
-                          corpus_cache_parts=3, fetch_batch_size=batch)
-        res = _run(tiny_corpus, s["url"], int(s["depth"]),
-                   str(tmp_path / f"ckp{batch}"), cfg=cfg)
-        _compare(res, o)
+    ck = str(tmp_path / "ck")
+    _run(tiny_corpus, s["url"], int(s["depth"]), ck)
+    other = str(tmp_path / "other_corpus")
+    shutil.copytree(tiny_corpus, other)
+    with pytest.raises(StateError, match="corpus"):
+        crawl(other, s["url"], int(s["depth"]), ck, crawl_id="t", resume=True)
+    link = str(tmp_path / "link")
+    os.symlink(tiny_corpus, link)
+    res = crawl(link, s["url"], int(s["depth"]), ck, crawl_id="t",
+                resume=True)
+    _compare(res, oracle_crawl(tiny_corpus, s["url"], int(s["depth"]),
+                               crawl_id="t"))
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -91,20 +91,6 @@ def test_ingest_dedup_covers_both_candidate_paths(nd_crawl):
     assert cross > 0, "no cross-round (persisted index) duplicate found"
 
 
-def test_forced_parallel_verify_path_matches(nd_crawl, tmp_path, monkeypatch):
-    """_VERIFY_RAY_GATE=0 forces every prefilter/verify slice through the
-    Ray-task path (plasma-shared arrays) — identical assignments."""
-    from raycrawl import ingest_dedup
-    from raycrawl.ingest_dedup import crawl_neardup
-
-    monkeypatch.setattr(ingest_dedup, "_VERIFY_RAY_GATE", 0)
-    ck2 = str(tmp_path / "nd_ray_vf")
-    _run(ck2)
-    a = crawl_neardup(nd_crawl).to_pandas()
-    b = crawl_neardup(ck2).to_pandas()
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
-
-
 def test_resume_guard_refuses_late_enable(ray_session, tmp_path):
     """A crawl started WITHOUT ingestion dedup has no index files; a
     resume that turns it on must refuse instead of silently missing every

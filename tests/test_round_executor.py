@@ -4,7 +4,6 @@ task, checked against the single-process oracle."""
 
 import os
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pytest
@@ -13,7 +12,6 @@ from test_crawl_pipeline import _compare, _run, _seeds
 
 from raycrawl.config import CrawlConfig
 from raycrawl.crawl import FRONTIER_SCHEMA, _frontier_slices, _round_dir
-from raycrawl.fetch import PartitionedCorpus, host_partition_ids
 from raycrawl.oracle import oracle_crawl
 
 
@@ -41,14 +39,14 @@ def _hosts(t: pa.Table) -> list[str]:
 ])
 def test_slice_count_follows_rule(n, batch, ncpu, k):
     t = _frontier(n)
-    slices = _frontier_slices(t, batch, None, ncpu)
+    slices = _frontier_slices(t, batch, ncpu)
     assert len(slices) == k
     assert sorted(sum((s["name"].to_pylist() for s in slices), [])) == \
         sorted(t["name"].to_pylist())
 
 
 def test_each_host_lands_in_one_slice():
-    slices = _frontier_slices(_frontier(1000), 16, None, 4)
+    slices = _frontier_slices(_frontier(1000), 16, 4)
     assert len(slices) == 16
     where: dict[str, set] = {}
     for i, s in enumerate(slices):
@@ -56,23 +54,6 @@ def test_each_host_lands_in_one_slice():
             where.setdefault(h, set()).add(i)
     assert len(where) == 250
     assert all(len(v) == 1 for v in where.values())
-
-
-@pytest.mark.parametrize("n_parts,ncpu", [(32, 2), (8, 4)])
-def test_partitioned_slices_hold_whole_partitions(n_parts, ncpu):
-    """Each corpus partition's rows sit in one slice, partition-major. With
-    fewer partitions than slices the extra slices are empty."""
-    corpus = PartitionedCorpus("unused", n_parts, 0)
-    slices = _frontier_slices(_frontier(1000), 16, corpus, ncpu)
-    assert len(slices) == 4 * ncpu
-    where: dict[int, set] = {}
-    for i, s in enumerate(slices):
-        parts = host_partition_ids(s["name"], n_parts)
-        assert (np.diff(parts) >= 0).all()
-        for p in parts.tolist():
-            where.setdefault(p, set()).add(i)
-    assert all(len(v) == 1 for v in where.values())
-    assert sum(s.num_rows > 0 for s in slices) <= n_parts
 
 
 LATE_S = 6.0  # how long a held-back offer waits for the next round
