@@ -56,7 +56,7 @@ def entry() -> Any:
 
 def queries() -> dict[str, Callable[[str], Any]]:
     from raycrawl import (ann, dedup, multimodal, profiling, relational,
-                          sessions, sketches, textops, webtext, windows)
+                          sessions, textops, webtext, windows)
 
     def _demo_nodes():
         _ensure_demo()
@@ -82,16 +82,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return q(_demo_nodes())
 
-    def crawl_list_page(_sf):
-        from raycrawl.queries import list_crawls as q
-
-        return q(_demo_nodes(), limit=1, offset=1)
-
-    def crawl_list_completed(_sf):
-        from raycrawl.queries import list_crawls as q
-
-        return q(_demo_nodes(), status_filter="completed")
-
     def crawl_stats(_sf):
         from raycrawl.queries import crawl_stats as q
 
@@ -107,11 +97,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return q(_demo_edges(), "demo1")
 
-    def domain_rollup(_sf):
-        from raycrawl.queries import domain_rollup as q
-
-        return q(_demo_nodes(), "demo0")
-
     def crawl_progress_live(_sf):
         # IN-PROGRESS lifecycle (feeder job.rs:41-51): progress of a crawl
         # frozen mid-round — pending set is claimed, so it reports as
@@ -121,15 +106,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from raycrawl.live import live_progress
 
         return live_progress(live_ckpt(), "demolive")
-
-    def crawl_round_counters(_sf):
-        # live metrics stream analogue (manager ws.rs:25-53): per-round
-        # counters of a finished crawl as a queryable Dataset
-        _ensure_demo()
-        from raycrawl.demo import demo_ckpts
-        from raycrawl.live import round_counters
-
-        return round_counters(demo_ckpts()[0])
 
     def crawl_pagerank(_sf):
         # graph-analytics lane over the crawl's own link graph: exact
@@ -218,27 +194,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 def demoted_queries() -> dict[str, Callable[[str], Any]]:
-    """Operator variants kept OUT of the driver's 50-row sweep window —
-    each is subsumed by an in-window sibling (pagination/filter variants,
-    an exact twin of a sketch, a forced-path twin) and stays correctness-
-    covered by tests/test_demoted.py instead. Same contract as queries()."""
-    from raycrawl import (ann, dedup, multimodal, relational, sketches,
-                          textops, webtext, windows)
+    """The crawl-family variants kept OUT of the driver's 50-row sweep
+    window: the pagination, status-filter, domain-rollup, round-counter
+    and depth-histogram reads of the crawl manager API, and the crawl's
+    ingestion-time near-dup assignment. Each is oracled in
+    ``demoted_oracle_sql()`` and compared to it by tests/test_demoted.py.
+    Same contract as queries()."""
 
     def crawl_list_page(_sf):
         from raycrawl.queries import list_crawls as q
 
         return q(_demo_nodes_mod(), limit=1, offset=1)
-
-    def _crawl_hits(_sf):
-        # graph lane sibling of the in-window crawl_pagerank: Kleinberg
-        # HITS in exact integer units (raycrawl/graph.py)
-        _ensure_demo()
-        from raycrawl.demo import demo_ckpts
-        from raycrawl.graph import crawl_hits as q
-        from raycrawl.queries import load_edges
-
-        return q(load_edges(demo_ckpts()), "demo1")
 
     def crawl_list_completed(_sf):
         from raycrawl.queries import list_crawls as q
@@ -278,50 +244,6 @@ def demoted_queries() -> dict[str, Callable[[str], Any]]:
         "crawl_round_counters": crawl_round_counters,  # A5 metrics stream
         "crawl_nodes_by_depth": nodes_by_depth,        # A1 depth histogram
         "crawl_neardup": crawl_neardup,                # ingestion dedup
-        # rotated out of the window in r5 for the webtext/ingestion
-        # flagships (VERDICT r4 §Next 1); still oracled here
-        "doc_repetition_scores": textops.doc_repetition_scores,
-        "revenue_by_brand": relational.revenue_by_brand,
-        "events_pivot_by_type": windows.events_pivot_by_type,
-        "events_daily_cumulative": windows.events_daily_cumulative,
-        "revenue_by_nation": relational.revenue_by_nation,
-        "top_customers_by_spend": relational.top_customers_by_spend,
-        "events_hourly": relational.events_hourly,
-        "top_users_by_value": relational.top_users_by_value,
-        "parts_by_brand": relational.parts_by_brand,
-        "documents_hash_sample": relational.documents_hash_sample,
-        "events_ordered_page": relational.events_ordered_page,
-        "neardup_clusters_distributed": dedup.neardup_clusters_distributed,
-        "crawl_hits": _crawl_hits,
-        "embedding_kmeans": ann.embedding_kmeans,
-        "embedding_semantic_dedup": ann.embedding_semantic_dedup,
-        "video_sample_summary": multimodal.video_sample_summary,
-        "audio_window_summary": multimodal.audio_window_summary,
-        "embedding_similar_threshold": ann.similar_above_threshold,
-        "documents_pii_scrub": textops.pii_scrub,
-        "documents_decontamination": textops.decontamination_report,
-        "documents_packed": relational.pack_sequences,
-        "documents_lm_familiarity": textops.lm_familiarity_scores,
-        "documents_mixture_sample": relational.documents_mixture_sample,
-        "inverted_index_stats": textops.inverted_index_stats,
-        "bigram_collocations": textops.bigram_collocations,
-        "documents_split_assignment": relational.documents_split_assignment,
-        "documents_balanced_shards": relational.documents_balanced_shards,
-        "corpus_word_counts": textops.word_counts,
-        "page_main_text": webtext.main_text_extract,
-        "page_paragraph_dedup": webtext.paragraph_dedup,
-        "corpus_pagerank": webtext.corpus_pagerank,
-        "link_target_resolution": webtext.link_target_resolution,
-        # rows-only (approximate/RNG/iterative — pytest-pinned to oracled
-        # exact twins or reference implementations)
-        "bpe_learned_merges": textops.bpe_learned_merges,
-        "bpe_compression_by_lang": textops.bpe_compression_by_lang,
-        "events_user_hll": sketches.events_user_hll,
-        "events_value_quantiles_sketch": sketches.events_value_quantiles_sketch,
-        "events_user_heavy_hitters": sketches.events_user_heavy_hitters,
-        "media_features": multimodal.media_features,
-        "embedding_lsh_topk": ann.lsh_topk,
-        "embedding_ivf_topk": ann.ivf_topk,
     }
 
 
@@ -539,8 +461,7 @@ def oracle_sql() -> dict[str, str]:
 
     c = _crawl_sql_bundle()
 
-    # every queries() entry is oracled (the rows-only approximate ops live
-    # in demoted_queries(), pytest-pinned to their oracled exact twins)
+    # every queries() entry is oracled
     return {
         "training_corpus": training_corpus_sql(),
         "exact_dedup_groups": dedup.exact_dedup_sql(),
@@ -596,61 +517,18 @@ def oracle_sql() -> dict[str, str]:
 
 
 def demoted_oracle_sql() -> dict[str, str]:
-    """Oracles for the demoted variants (tests/test_demoted.py runs each
-    Ray query against its SQL at small sf). The six approximate/RNG-body
-    entries have no SQL by nature — their exactness envelope is pinned by
-    dedicated pytests against oracled exact twins."""
-    from raycrawl import (ann, dedup, graph, multimodal, relational, textops,
-                          webtext, windows)
+    """Oracles for every demoted variant (tests/test_demoted.py runs each
+    Ray query against its SQL at small sf)."""
+    from raycrawl.demo import ensure_neardup_demo, neardup_corpus
+    from raycrawl.ingest_dedup import crawl_neardup_sql
 
     c = _crawl_sql_bundle()
     demoted = {k: c[k] for k in ("crawl_list_page", "crawl_list_completed",
                                  "crawl_domain_rollup", "crawl_round_counters",
                                  "crawl_nodes_by_depth")}
-    import os as _os
-
-    from raycrawl.demo import ensure_neardup_demo, neardup_corpus
-
     nd_ck = ensure_neardup_demo()
-    from raycrawl.ingest_dedup import crawl_neardup_sql
-
-    demoted.update({
-        "crawl_neardup": crawl_neardup_sql(
-            _os.path.join(nd_ck, "final", "nodes", "*.parquet"),
-            _os.path.join(neardup_corpus(), "pages.parquet"),
-            "demodup", 0.6),
-        "doc_repetition_scores": textops.doc_repetition_scores_sql(),
-        "revenue_by_brand": relational.revenue_by_brand_sql(),
-        "events_pivot_by_type": windows.events_pivot_by_type_sql(),
-        "events_daily_cumulative": windows.events_daily_cumulative_sql(),
-        "revenue_by_nation": relational.revenue_by_nation_sql(),
-        "top_customers_by_spend": relational.top_customers_sql(),
-        "events_hourly": relational.events_hourly_sql(),
-        "top_users_by_value": relational.top_users_sql(),
-        "parts_by_brand": relational.parts_by_brand_sql(),
-        "documents_hash_sample": relational.documents_hash_sample_sql(),
-        "events_ordered_page": relational.events_ordered_page_sql(),
-        "neardup_clusters_distributed": dedup.neardup_clusters_sql(),
-        "crawl_hits": graph.crawl_hits_sql(c["_edges_rel"], "demo1"),
-        "embedding_kmeans": ann.embedding_kmeans_sql(),
-        "embedding_semantic_dedup": ann.embedding_semantic_dedup_sql(),
-        "video_sample_summary": multimodal.video_sample_summary_sql(),
-        "audio_window_summary": multimodal.audio_window_summary_sql(),
-        "embedding_similar_threshold": ann.similar_above_threshold_sql(),
-        "documents_pii_scrub": textops.pii_scrub_sql(),
-        "documents_decontamination": textops.decontamination_sql(),
-        "documents_packed": relational.pack_sequences_sql(),
-        "documents_lm_familiarity": textops.lm_familiarity_sql(),
-        "documents_mixture_sample": relational.documents_mixture_sample_sql(),
-        "inverted_index_stats": textops.inverted_index_stats_sql(),
-        "bigram_collocations": textops.bigram_collocations_sql(),
-        "documents_split_assignment":
-            relational.documents_split_assignment_sql(),
-        "documents_balanced_shards": relational.documents_balanced_shards_sql(),
-        "corpus_word_counts": textops.word_counts_sql(),
-        "page_main_text": webtext.main_text_extract_sql(),
-        "page_paragraph_dedup": webtext.paragraph_dedup_sql(),
-        "corpus_pagerank": webtext.corpus_pagerank_sql(),
-        "link_target_resolution": webtext.link_target_resolution_sql(),
-    })
+    demoted["crawl_neardup"] = crawl_neardup_sql(
+        os.path.join(nd_ck, "final", "nodes", "*.parquet"),
+        os.path.join(neardup_corpus(), "pages.parquet"),
+        "demodup", 0.6)
     return demoted

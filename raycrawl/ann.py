@@ -3,10 +3,9 @@
 - ``brute_force_topk``: exact cosine top-k — per-batch numpy matmul against
   a broadcast query matrix, per-batch partial top-k, driver merge. The
   baseline, and the SQL-checkable path (DuckDB ``list_cosine_similarity``).
-- ``lsh_topk``: random-hyperplane LSH variant — signature bucketing with
-  multiprobe, scanning only candidate buckets; the scale path when the
-  corpus no longer fits a broadcast matmul per batch. Recall is measured
-  against the brute-force baseline in tests.
+
+Also the content-keyed index commit (``_commit_index``, ``_gc_stale_siblings``)
+that ``dedup.ensure_minhash_index`` publishes its persisted index with.
 """
 
 from __future__ import annotations
@@ -15,22 +14,9 @@ import os
 import time
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from raycrawl.kernels import list_matrix, table_from_pandas
-
-_rng = np.random.default_rng(0x5EED)
-_N_PLANES = 6
-_PLANES_CACHE: dict[int, np.ndarray] = {}
-
-
-def _planes(dim: int) -> np.ndarray:
-    p = _PLANES_CACHE.get(dim)
-    if p is None:
-        p = np.random.default_rng(0x5EED).normal(size=(_N_PLANES, dim)).astype(np.float32)
-        _PLANES_CACHE[dim] = p
-    return p
+from raycrawl.kernels import list_matrix
 
 
 def _t(sf_dir: str, name: str, columns=None):
@@ -104,95 +90,6 @@ def brute_force_topk_sql(query_id: int = 0, k: int = 20) -> str:
     """
 
 
-def similar_above_threshold(sf_dir: str, query_id: int = 0,
-                            threshold: float = 0.2) -> pa.Table:
-    """All vectors with cosine ≥ threshold vs the query (SQL-checkable
-    without top-k boundary sensitivity)."""
-    q = query_vector(sf_dir, query_id)
-    qn = q / max(np.linalg.norm(q), 1e-12)
-
-    def partial(t: pa.Table) -> pa.Table:
-        ids = t["vec_id"].to_numpy()
-        m = _normalize(list_matrix(t["embedding"]))
-        cos = m @ qn
-        mask = (cos >= threshold) & (ids != query_id)
-        return pa.table(
-            {
-                "vec_id": pa.array(ids[mask], pa.int64()),
-                "cos": pa.array(np.round(cos[mask], 6), pa.float64()),
-            }
-        )
-
-    out = (
-        _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-    )
-    if len(out) == 0:
-        return pa.table({"vec_id": pa.array([], pa.int64()),
-                         "cos": pa.array([], pa.float64())})
-    out = out.sort_values("vec_id")
-    return table_from_pandas(out)
-
-
-def similar_above_threshold_sql(query_id: int = 0, threshold: float = 0.2) -> str:
-    return f"""
-    SELECT e.vec_id,
-           round(list_cosine_similarity(CAST(e.embedding AS DOUBLE[]),
-                                        CAST(q.embedding AS DOUBLE[])), 6) AS cos
-    FROM embeddings e,
-         (SELECT embedding FROM embeddings WHERE vec_id = {query_id}) q
-    WHERE e.vec_id <> {query_id}
-      AND list_cosine_similarity(CAST(e.embedding AS DOUBLE[]),
-                                 CAST(q.embedding AS DOUBLE[])) >= {threshold}
-    ORDER BY e.vec_id
-    """
-
-
-def _signatures(m: np.ndarray) -> np.ndarray:
-    """Random-hyperplane LSH signature per row (uint32 of _N_PLANES bits)."""
-    planes = _planes(m.shape[1])
-    bits = (m @ planes.T) > 0
-    sig = np.zeros(len(m), dtype=np.uint32)
-    for b in range(_N_PLANES):
-        sig |= bits[:, b].astype(np.uint32) << np.uint32(b)
-    return sig
-
-
-def _accept_set(qsig: int, probe_hamming: int) -> set[int]:
-    """Multiprobe signature set: every signature within ``probe_hamming``
-    bit flips of the query's."""
-    from itertools import combinations
-
-    accept = {qsig}
-    for r in range(1, probe_hamming + 1):
-        for flips in combinations(range(_N_PLANES), r):
-            v = qsig
-            for i in flips:
-                v ^= 1 << i
-            accept.add(v)
-    return accept
-
-
-def _index_tag(sf_dir: str) -> str:
-    """Cache key for persisted indexes over ``embeddings.parquet``: path +
-    CONTENT identity (size + mtime_ns + row count), so regenerating the
-    dataset at the same path can never serve a stale index (ADVICE r2)."""
-    import hashlib
-
-    import pyarrow.parquet as pq_
-
-    path = os.path.join(os.path.abspath(sf_dir), "embeddings.parquet")
-    st = os.stat(path)
-    rows = pq_.ParquetFile(path).metadata.num_rows
-    phash = hashlib.md5(path.encode()).hexdigest()[:8]
-    chash = hashlib.md5(
-        f"{st.st_size}|{st.st_mtime_ns}|{rows}".encode()).hexdigest()[:8]
-    # path-hash prefix + content-hash suffix: cleanup can drop SAME-path
-    # indexes whose content tag changed without touching other datasets'
-    return f"{phash}-{chash}"
-
-
 def _commit_index(tmp: str, out: str) -> bool:
     """Atomic publish: rename the fully-built temp dir into place. Two
     concurrent builders race on the rename; the loser discards its copy
@@ -216,7 +113,7 @@ def _gc_stale_siblings(out: str, grace_sec: float = 600.0) -> None:
     '<path_hash>-<content_hash>_<params>'): every corpus regeneration
     would otherwise strand a full index copy under /tmp forever. Matching
     is on the path hash with a DIFFERENT content hash — same-content
-    param variants (e.g. ivf _c16 next to _c32) are kept, so committing
+    param variants (e.g. two band shapes of one corpus) are kept, so committing
     one variant can't thrash-rebuild another (ADVICE r3). Dirs younger
     than ``grace_sec`` are also kept: a concurrent query may be mid-read
     in an index that was only just superseded."""
@@ -236,500 +133,3 @@ def _gc_stale_siblings(out: str, grace_sec: float = 600.0) -> None:
         except OSError:
             continue
         shutil.rmtree(os.path.join(root, d), ignore_errors=True)
-
-
-def ensure_lsh_index(sf_dir: str,
-                     out_root: str = "/tmp/raycrawl_lsh") -> str:
-    """Build (once, cached) the PERSISTED signature index: the embeddings
-    table rewritten as hive-partitioned Parquet, one ``sig=N/`` directory
-    per random-hyperplane bucket. A query then READS only its candidate
-    buckets — pruning happens at the file listing, so query cost scales
-    with bucket size, not corpus size (the property a full-scan LSH
-    lacks). One streaming pass to build; no driver materialization.
-    Content-keyed cache + build-into-temp + atomic rename."""
-    out = os.path.join(out_root, f"{_index_tag(sf_dir)}_p{_N_PLANES}")
-    if os.path.exists(os.path.join(out, "_SUCCESS")):
-        return out
-    tmp = f"{out}.tmp.{os.getpid()}"
-    os.makedirs(tmp, exist_ok=True)
-
-    def add_sig(t: pa.Table) -> pa.Table:
-        m = _normalize(list_matrix(t["embedding"]))
-        sig = _signatures(m.astype(np.float32))
-        return t.append_column("sig", pa.array(sig.astype(np.int64), pa.int64()))
-
-    (
-        _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-        .map_batches(add_sig, batch_format="pyarrow")
-        .write_parquet(tmp, partition_cols=["sig"])
-    )
-    with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-        f.write("ok")
-    _commit_index(tmp, out)
-    return out
-
-
-def lsh_topk(sf_dir: str, query_id: int = 0, k: int = 20,
-             probe_hamming: int = 2) -> pa.Table:
-    """Approximate top-k over the persisted signature index: list the
-    ≤ C(_N_PLANES, ≤probe_hamming) candidate bucket directories, read ONLY
-    those, exact-rank within. Same output schema as brute_force_topk;
-    recall measured in tests (identical candidates to a full multiprobe
-    scan by construction — same planes, same signatures)."""
-    import ray.data as rd
-
-    q = query_vector(sf_dir, query_id)
-    qn64 = q / max(np.linalg.norm(q), 1e-12)
-    qsig = int(_signatures(qn64[None, :].astype(np.float32))[0])
-    accept = _accept_set(qsig, probe_hamming)
-
-    idx = ensure_lsh_index(sf_dir)
-    bucket_files = []
-    for s in sorted(accept):
-        d = os.path.join(idx, f"sig={s}")
-        if os.path.isdir(d):
-            bucket_files.extend(
-                os.path.join(d, f) for f in sorted(os.listdir(d))
-                if f.endswith(".parquet")
-            )
-    empty = pa.table({"vec_id": pa.array([], pa.int64()),
-                      "cos": pa.array([], pa.float64())})
-    if not bucket_files:
-        return empty
-
-    def partial(t: pa.Table) -> pa.Table:
-        ids = t["vec_id"].to_numpy()
-        m = _normalize(list_matrix(t["embedding"]))
-        mask = ids != query_id
-        if not mask.any():
-            return empty
-        cos = m[mask] @ qn64
-        ids = ids[mask]
-        if len(ids) > k:  # per-bucket partial top-k; driver merges partials
-            order = np.lexsort((ids, -cos))[:k]
-            ids, cos = ids[order], cos[order]
-        return pa.table({"vec_id": pa.array(ids, pa.int64()),
-                         "cos": pa.array(cos, pa.float64())})
-
-    parts = (
-        rd.read_parquet(bucket_files, columns=["vec_id", "embedding"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-    )
-    if len(parts) == 0:
-        return empty
-    order = np.lexsort((parts["vec_id"].to_numpy(), -parts["cos"].to_numpy()))[:k]
-    out = parts.iloc[order]
-    return pa.table(
-        {
-            "vec_id": pa.array(out["vec_id"].to_numpy(), pa.int64()),
-            "cos": pa.array(np.round(out["cos"].to_numpy(), 6), pa.float64()),
-        }
-    )
-
-
-# ---------------------------------------------------------------------------
-# IVF (inverted-file) index — the coarse-quantizer scale path
-# ---------------------------------------------------------------------------
-
-def _kmeans_centroids(sample: np.ndarray, n_centroids: int,
-                      iters: int = 8) -> np.ndarray:
-    """Deterministic spherical k-means (Lloyd) on a normalized sample.
-    Seeded init; empty cells keep their previous centroid. The sample is
-    small by construction (train-on-sample, FAISS-style) so this is a
-    driver-side O(sample × n_centroids) loop, independent of corpus size."""
-    rng = np.random.default_rng(0x1FF5EED)
-    n = len(sample)
-    k = min(n_centroids, n)
-    init = rng.choice(n, size=k, replace=False)
-    C = sample[init].copy()
-    for _ in range(iters):
-        assign = np.argmax(sample @ C.T, axis=1)
-        for j in range(k):
-            m = assign == j
-            if m.any():
-                v = sample[m].mean(axis=0)
-            else:
-                v = C[j]
-            C[j] = v / max(np.linalg.norm(v), 1e-12)
-    return C
-
-
-def ensure_ivf_index(sf_dir: str, n_centroids: int = 16,
-                     sample_cap: int = 20_000,
-                     out_root: str = "/tmp/raycrawl_ivf"):
-    """Build (once, cached) the persisted IVF index: train centroids on a
-    deterministic sample (vec_id stride — no shuffle, no full
-    materialization), then one streaming assign pass writing the corpus as
-    hive-partitioned Parquet, one ``cell=N/`` directory per centroid.
-    Queries read only their ``nprobe`` nearest cells — pruning at the file
-    listing, like ensure_lsh_index. Returns (index_dir, centroids).
-    Content-keyed cache + build-into-temp + atomic rename (ADVICE r2)."""
-    import pyarrow.parquet as pq_
-
-    out = os.path.join(out_root, f"{_index_tag(sf_dir)}_c{n_centroids}")
-    cfile = os.path.join(out, "centroids.npy")
-    if os.path.exists(os.path.join(out, "_SUCCESS")):
-        return out, np.load(cfile)
-    tmp = f"{out}.tmp.{os.getpid()}"
-    os.makedirs(tmp, exist_ok=True)
-
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    total = pq_.ParquetFile(path).metadata.num_rows
-    stride = max(1, total // sample_cap)
-
-    def pick_sample(t: pa.Table) -> pa.Table:
-        ids = t["vec_id"].to_numpy()
-        return t.take(pa.array(np.flatnonzero(ids % stride == 0)))
-
-    sample_tbl = (
-        _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-        .map_batches(pick_sample, batch_format="pyarrow")
-        .to_pandas()  # bounded: ≤ sample_cap rows by stride construction
-    )
-    sample = _normalize(np.stack(sample_tbl["embedding"].to_numpy()).astype(np.float64))
-    C = _kmeans_centroids(sample, n_centroids)
-    np.save(os.path.join(tmp, "centroids.npy"), C)
-
-    def assign_cell(t: pa.Table) -> pa.Table:
-        m = _normalize(list_matrix(t["embedding"]))
-        cell = np.argmax(m @ C.T, axis=1).astype(np.int64)
-        return t.append_column("cell", pa.array(cell, pa.int64()))
-
-    (
-        _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-        .map_batches(assign_cell, batch_format="pyarrow")
-        .write_parquet(tmp, partition_cols=["cell"])
-    )
-    with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-        f.write("ok")
-    _commit_index(tmp, out)
-    return out, np.load(cfile)
-
-
-def ivf_topk(sf_dir: str, query_id: int = 0, k: int = 20,
-             nprobe: int = 4, n_centroids: int = 16) -> pa.Table:
-    """Approximate cosine top-k over the persisted IVF index: rank centroids
-    vs the query, read ONLY the ``nprobe`` nearest cell directories,
-    exact-rank within (per-batch partial top-k, driver merge of ≤
-    nprobe × k rows). ``nprobe == n_centroids`` degenerates to the exact
-    scan — pytest pins that equality against brute_force_topk; recall at
-    partial probes is measured separately."""
-    import ray.data as rd
-
-    q = query_vector(sf_dir, query_id)
-    qn = q / max(np.linalg.norm(q), 1e-12)
-    idx, C = ensure_ivf_index(sf_dir, n_centroids=n_centroids)
-    cells = np.argsort(-(C @ qn))[:nprobe]
-
-    cell_files = []
-    for c in sorted(int(c) for c in cells):
-        d = os.path.join(idx, f"cell={c}")
-        if os.path.isdir(d):
-            cell_files.extend(
-                os.path.join(d, f) for f in sorted(os.listdir(d))
-                if f.endswith(".parquet")
-            )
-    empty = pa.table({"vec_id": pa.array([], pa.int64()),
-                      "cos": pa.array([], pa.float64())})
-    if not cell_files:
-        return empty
-
-    def partial(t: pa.Table) -> pa.Table:
-        ids = t["vec_id"].to_numpy()
-        m = _normalize(list_matrix(t["embedding"]))
-        mask = ids != query_id
-        if not mask.any():
-            return empty
-        cos = m[mask] @ qn
-        ids = ids[mask]
-        if len(ids) > k:
-            order = np.lexsort((ids, -cos))[:k]
-            ids, cos = ids[order], cos[order]
-        return pa.table({"vec_id": pa.array(ids, pa.int64()),
-                         "cos": pa.array(cos, pa.float64())})
-
-    parts = (
-        rd.read_parquet(cell_files, columns=["vec_id", "embedding"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-    )
-    if len(parts) == 0:
-        return empty
-    order = np.lexsort((parts["vec_id"].to_numpy(), -parts["cos"].to_numpy()))[:k]
-    sel = parts.iloc[order]
-    return pa.table(
-        {
-            "vec_id": pa.array(sel["vec_id"].to_numpy(), pa.int64()),
-            "cos": pa.array(np.round(sel["cos"].to_numpy(), 6), pa.float64()),
-        }
-    )
-
-
-# ---------------------------------------------------------------------------
-# deterministic integer k-means over the embedding table
-# ---------------------------------------------------------------------------
-#
-# The clustering step of semantic-dedup pipelines (SemDeDup, Abbas et al.
-# 2023: k-means the embeddings, then dedup within clusters — the
-# within-cluster pair step already exists as embedding_neardup_*). Float
-# k-means is not SQL-checkable (SUM over doubles is order-dependent), so
-# like PageRank/HITS this runs in EXACT integer arithmetic: coordinates
-# are fixed-point quantized with floor(x * 2^16 + 0.5) + 2^17 (the offset
-# keeps every value non-negative, so integer division is the same floor
-# on both engines), distances and centroid sums are exact int64, and new
-# centroids are elementwise SUM // COUNT. Every op is order-independent,
-# so the Ray result hash-matches an unrolled DuckDB CTE chain
-# bit-for-bit. Init = the k smallest vec_ids' vectors (labels 0..k-1 in
-# that order); clusters that lose all members are dropped for later
-# iterations (both sides); argmin ties go to the smallest label.
-
-KM_SCALE = 1 << 16
-KM_OFFSET = 1 << 17
-
-
-def embedding_kmeans(sf_dir: str, k: int = 8, iters: int = 4) -> pa.Table:
-    """(vec_id, cluster, dist2_units) after ``iters`` exact-integer
-    k-means rounds plus a final assignment, ordered by vec_id.
-
-    Distributed shape: the quantized coordinate table is materialized
-    once; each round is ONE map_batches pass that assigns its batch
-    against the broadcast centroid matrix (``ray.put``, k×dim int64) and
-    emits per-batch partial (cluster, count, coordinate-sum) rows — k
-    rows per batch, so the driver-side combine is k × n_batches tiny and
-    exact (integer sums commute). Nothing wide ever leaves the cluster;
-    at the 10^10-vector design point this is the canonical broadcast-
-    kmeans round. The O(n·k·dim) assignment arithmetic is one numpy
-    broadcast subtract-square-sum per batch."""
-    import ray
-
-    def quantize(t: pa.Table) -> pa.Table:
-        m = list_matrix(t["embedding"])          # float64, exact from f32
-        q = (np.floor(m * KM_SCALE + 0.5).astype(np.int64) + KM_OFFSET)
-        n, dim = q.shape
-        offs = pa.array(np.arange(n + 1, dtype=np.int32) * dim)
-        return pa.table({
-            "vec_id": t["vec_id"],
-            "q": pa.ListArray.from_arrays(offs, pa.array(q.ravel(), pa.int64())),
-        })
-
-    quant = (_t(sf_dir, "embeddings", ["vec_id", "embedding"])
-             .map_batches(quantize, batch_format="pyarrow").materialize())
-
-    def smallest_ids(t: pa.Table) -> pa.Table:
-        ids = t["vec_id"].to_numpy()
-        keep = np.argsort(ids)[:k]
-        return t.take(pa.array(keep, pa.int64()))
-
-    init = (quant.map_batches(smallest_ids, batch_format="pyarrow")
-            .to_pandas().sort_values("vec_id").head(k))
-    mu = np.stack([np.asarray(v, np.int64) for v in init["q"]])
-    js = np.arange(len(mu), dtype=np.int64)     # surviving original labels
-    dim = mu.shape[1]
-
-    def assign(q: np.ndarray, mu: np.ndarray) -> tuple:
-        d2 = ((q[:, None, :] - mu[None, :, :]) ** 2).sum(axis=2)
-        a = d2.argmin(axis=1)                   # first min == smallest label
-        return a, d2[np.arange(len(a)), a]
-
-    for _ in range(iters):
-        mu_ref = ray.put((mu, js))
-
-        def partial_sums(t: pa.Table) -> pa.Table:
-            mu, js = ray.get(mu_ref)
-            q = list_matrix(t["q"]).astype(np.int64)   # exact below 2^53
-            a, _ = assign(q, mu)
-            kk = len(js)
-            sums = np.zeros((kk, q.shape[1]), np.int64)
-            np.add.at(sums, a, q)
-            counts = np.bincount(a, minlength=kk).astype(np.int64)
-            offs = pa.array(np.arange(kk + 1, dtype=np.int32) * q.shape[1])
-            return pa.table({
-                "j": pa.array(js, pa.int64()),
-                "n": pa.array(counts),
-                "s": pa.ListArray.from_arrays(offs,
-                                              pa.array(sums.ravel(), pa.int64())),
-            })
-
-        parts = quant.map_batches(partial_sums,
-                                  batch_format="pyarrow").to_pandas()
-        n_tot = parts.groupby("j", sort=True)["n"].sum()
-        s_tot = {j: np.zeros(dim, np.int64) for j in n_tot.index}
-        for j, s in zip(parts["j"], parts["s"]):
-            s_tot[j] += np.asarray(s, np.int64)
-        alive = [j for j in n_tot.index if n_tot[j] > 0]
-        mu = np.stack([s_tot[j] // n_tot[j] for j in alive])
-        js = np.asarray(alive, np.int64)
-
-    mu_ref = ray.put((mu, js))
-
-    def final_assign(t: pa.Table) -> pa.Table:
-        mu, js = ray.get(mu_ref)
-        q = list_matrix(t["q"]).astype(np.int64)
-        a, d2 = assign(q, mu)
-        return pa.table({
-            "vec_id": t["vec_id"],
-            "cluster": pa.array(js[a], pa.int64()),
-            "dist2_units": pa.array(d2.astype(np.int64)),
-        })
-
-    out = (quant.map_batches(final_assign, batch_format="pyarrow")
-           .sort("vec_id").to_pandas())
-    return table_from_pandas(out)
-
-
-def _kmeans_ctes(k: int, iters: int) -> str:
-    """The WITH-body of the exact-integer k-means twin (shared by
-    ``embedding_kmeans_sql`` and ``embedding_semantic_dedup_sql``).
-    Linear CTE chain (the HITS lesson: DuckDB inlines CTEs, so no CTE is
-    referenced twice except the flat quantized table q, which has no
-    chain behind it). Ends with ``asgF`` = the final assignment."""
-    step_tpl = """
-    dist{i} AS (
-      SELECT q.vec_id, m.j, SUM((q.qv - m.mu) * (q.qv - m.mu)) AS d2
-      FROM q JOIN c{i0} m ON m.d = q.d
-      GROUP BY q.vec_id, m.j
-    ),
-    asg{i} AS (
-      SELECT vec_id, j, d2 FROM (
-        SELECT vec_id, j, d2,
-               row_number() OVER (PARTITION BY vec_id ORDER BY d2, j) AS rk
-        FROM dist{i}) WHERE rk = 1
-    ),
-    c{i} AS (
-      SELECT a.j, q.d, SUM(q.qv) // COUNT(*) AS mu
-      FROM asg{i} a JOIN q ON q.vec_id = a.vec_id
-      GROUP BY a.j, q.d
-    )"""
-    steps = ",".join(step_tpl.format(i=i + 1, i0=i) for i in range(iters))
-    fi = iters + 1
-    return f"""
-    q AS (
-      SELECT vec_id,
-             unnest(range(1, len(embedding) + 1)) AS d,
-             unnest(list_transform(embedding,
-               x -> CAST(FLOOR(CAST(x AS DOUBLE) * {KM_SCALE} + 0.5) AS BIGINT)
-                    + {KM_OFFSET})) AS qv
-      FROM embeddings),
-    init AS (
-      SELECT vec_id, row_number() OVER (ORDER BY vec_id) - 1 AS j
-      FROM (SELECT vec_id FROM embeddings ORDER BY vec_id LIMIT {k})),
-    c0 AS (SELECT i.j, q.d, q.qv AS mu FROM init i JOIN q ON q.vec_id = i.vec_id),
-    {steps},
-    dist{fi} AS (
-      SELECT q.vec_id, m.j, SUM((q.qv - m.mu) * (q.qv - m.mu)) AS d2
-      FROM q JOIN c{iters} m ON m.d = q.d
-      GROUP BY q.vec_id, m.j
-    ),
-    asgF AS (
-      SELECT vec_id, j, d2 FROM (
-        SELECT vec_id, j, d2,
-               row_number() OVER (PARTITION BY vec_id ORDER BY d2, j) AS rk
-        FROM dist{fi}) WHERE rk = 1
-    )"""
-
-
-def embedding_kmeans_sql(k: int = 8, iters: int = 4) -> str:
-    return f"""
-    WITH {_kmeans_ctes(k, iters)}
-    SELECT vec_id, j AS cluster, d2 AS dist2_units FROM asgF
-    ORDER BY vec_id
-    """
-
-
-def embedding_semantic_dedup(sf_dir: str, k: int = 8, iters: int = 4,
-                             threshold: float = 0.45) -> pa.Table:
-    """SemDeDup composed end-to-end (Abbas et al. 2023): k-means the
-    embeddings, find cosine-≥-threshold pairs WITHIN each cluster only,
-    assign every clustered vector its component's min-id keeper. Output
-    (vec_id, keeper_vec_id, cluster_size) — bounded by near-dup volume
-    like ``dedup.neardup_clusters``.
-
-    Scale shape: the quadratic pair step runs inside
-    ``groupby(cluster).map_groups`` — O(Σ n_c²) instead of O(N²), the
-    whole point of clustering first. Cross-cluster near-dup pairs are
-    missed by construction (SemDeDup's documented recall tradeoff); the
-    exact sibling ``dedup.embedding_neardup_pairs`` is the oracle for
-    recall measurements. Keeper fold reuses the size-gated component
-    labeling from the document lane."""
-    import ray
-
-    from raycrawl.dedup import _clusters_from_labels, _label_components
-
-    clusters = embedding_kmeans(sf_dir, k, iters)
-    cid = clusters["vec_id"].to_numpy()              # sorted by vec_id
-    cj = clusters["cluster"].to_numpy()
-    ref = ray.put((cid, cj))
-
-    def tag(t: pa.Table) -> pa.Table:
-        cid, cj = ray.get(ref)
-        pos = np.searchsorted(cid, t["vec_id"].to_numpy())
-        return t.append_column("cluster", pa.array(cj[pos], pa.int64()))
-
-    empty = pa.table({"a": pa.array([], pa.int64()),
-                      "b": pa.array([], pa.int64())})
-
-    def group_pairs(g: pa.Table) -> pa.Table:
-        if g.num_rows < 2:
-            return empty
-        ids = g["vec_id"].to_numpy()
-        m = _normalize(list_matrix(g["embedding"]))
-        sims = m @ m.T
-        ai, bj = np.nonzero(np.triu(sims >= threshold, k=1))
-        if len(ai) == 0:
-            return empty
-        a, b = ids[ai], ids[bj]
-        return pa.table({"a": pa.array(np.minimum(a, b), pa.int64()),
-                         "b": pa.array(np.maximum(a, b), pa.int64())})
-
-    pairs_df = (
-        _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("cluster")
-        .map_groups(group_pairs, batch_format="pyarrow")
-        .to_pandas()
-    )
-    if len(pairs_df) == 0:
-        return pa.table({"vec_id": pa.array([], pa.int64()),
-                         "keeper_vec_id": pa.array([], pa.int64()),
-                         "cluster_size": pa.array([], pa.int64())})
-    lab = _label_components(pa.table({
-        "a": pa.array(pairs_df["a"].to_numpy(), pa.int64()),
-        "b": pa.array(pairs_df["b"].to_numpy(), pa.int64()),
-    }))
-    out = _clusters_from_labels(lab)
-    return out.rename_columns(["vec_id", "keeper_vec_id", "cluster_size"])
-
-
-def embedding_semantic_dedup_sql(k: int = 8, iters: int = 4,
-                                 threshold: float = 0.45) -> str:
-    """k-means CTE chain → within-cluster cosine pairs → recursive-CTE
-    transitive closure + min-label keeper (mirrors
-    ``dedup.neardup_clusters_sql``). ``asgF`` is referenced twice, which
-    re-expands the (linear) k-means chain a constant 2× — bounded, unlike
-    the per-iteration double-reference the HITS oracle had to avoid."""
-    return f"""
-    WITH RECURSIVE {_kmeans_ctes(k, iters)},
-    pr AS (
-      SELECT ca.vec_id AS a, cb.vec_id AS b
-      FROM asgF ca
-      JOIN asgF cb ON cb.j = ca.j AND cb.vec_id > ca.vec_id
-      JOIN embeddings x ON x.vec_id = ca.vec_id
-      JOIN embeddings y ON y.vec_id = cb.vec_id
-      WHERE list_cosine_similarity(CAST(x.embedding AS DOUBLE[]),
-                                   CAST(y.embedding AS DOUBLE[]))
-            >= {threshold}),
-    eg AS (SELECT a, b FROM pr UNION SELECT b AS a, a AS b FROM pr),
-    ng AS (SELECT DISTINCT a AS v FROM eg),
-    reach(s, t) AS (
-      SELECT v, v FROM ng
-      UNION
-      SELECT r.s, eg.b FROM reach r JOIN eg ON eg.a = r.t
-    ),
-    lbl AS (SELECT s AS vec_id, CAST(min(t) AS BIGINT) AS keeper_vec_id
-            FROM reach GROUP BY s)
-    SELECT vec_id, keeper_vec_id,
-           CAST(count(*) OVER (PARTITION BY keeper_vec_id) AS BIGINT)
-             AS cluster_size
-    FROM lbl ORDER BY vec_id
-    """

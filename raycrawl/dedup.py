@@ -39,16 +39,23 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from raycrawl.kernels import list_matrix, md5_u64, table_from_pandas
-
-_MERSENNE = np.uint64((1 << 61) - 1)
-N_PERM = 64
-N_BANDS = 16          # 4 rows per band
-ROWS_PER_BAND = N_PERM // N_BANDS
-
-_rng = np.random.default_rng(0xC0FFEE)
-_PERM_A = _rng.integers(1, (1 << 61) - 1, size=N_PERM, dtype=np.uint64)
-_PERM_B = _rng.integers(0, (1 << 61) - 1, size=N_PERM, dtype=np.uint64)
+# the MinHash family is crawl-owned (kernels); re-exported here for the
+# documents lane
+from raycrawl.kernels import (  # noqa: F401
+    _MERSENNE,
+    _PERM_A,
+    _PERM_B,
+    N_BANDS,
+    N_PERM,
+    ROWS_PER_BAND,
+    list_matrix,
+    md5_u64,
+    minhash_bands_batch,
+    minhash_signature,
+    segmented_jaccard,
+    shingle_list_batch,
+    table_from_pandas,
+)
 
 _BIT_SHIFTS = np.arange(64, dtype=np.uint64)
 
@@ -144,15 +151,6 @@ def shingle_set(text: str, k: int = 3) -> np.ndarray:
     )
 
 
-def minhash_signature(shingles: np.ndarray) -> np.ndarray:
-    """(N_PERM,) uint64 signature: min over (a*h+b mod 2^61-1) per perm."""
-    if len(shingles) == 0:
-        return np.full(N_PERM, np.uint64(_MERSENNE), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        v = (shingles[None, :] * _PERM_A[:, None] + _PERM_B[:, None]) % _MERSENNE
-    return v.min(axis=1)
-
-
 _SHINGLES_CACHE: dict[tuple, object] = {}
 _MEMO_MAX_KEYS = 4  # per cache; oldest-inserted evicted first (ADVICE r3)
 
@@ -178,42 +176,6 @@ def _memo_put(cache: dict, key: tuple, value) -> None:
         cache.pop(next(iter(cache)))
 
 
-def shingle_list_batch(doc_id_col, texts, k: int = 3) -> pa.Table:
-    """(doc ids, texts) → (doc_id, shingles list<uint64>, n_shingles) —
-    vectorized twin of the scalar ``shingle_set`` (pytest-pinned equal):
-    one segmented gram gather + one DuckDB md5 call per batch, then
-    per-doc sorted-unique via one lexsort. The list column is built
-    straight from the deduped flat buffer — no per-row Python, no boxing.
-    Shared by the documents lane (``shingles_dataset``) and the crawl's
-    ingestion-dedup stage (raycrawl.ingest_dedup)."""
-    from raycrawl.kernels import md5_gram_hashes
-
-    h, offs = md5_gram_hashes(texts, k=k)
-    n = len(texts)
-    doc_idx = np.repeat(np.arange(n, dtype=np.int64), np.diff(offs))
-    order = np.lexsort((h, doc_idx))
-    hs, di = h[order], doc_idx[order]
-    if len(hs):
-        keep = np.empty(len(hs), dtype=bool)
-        keep[0] = True
-        keep[1:] = (hs[1:] != hs[:-1]) | (di[1:] != di[:-1])
-        hs, di = hs[keep], di[keep]
-    counts = (np.bincount(di, minlength=n).astype(np.int64)
-              if len(di) else np.zeros(n, np.int64))
-    new_offs = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(counts, out=new_offs[1:])
-    return pa.table(
-        {
-            "doc_id": (doc_id_col if isinstance(doc_id_col, (pa.Array,
-                                                             pa.ChunkedArray))
-                       else pa.array(doc_id_col, pa.int64())),
-            "shingles": pa.ListArray.from_arrays(
-                pa.array(new_offs, pa.int32()), pa.array(hs, pa.uint64())),
-            "n_shingles": pa.array(counts, pa.int64()),
-        }
-    )
-
-
 def shingles_dataset(sf_dir: str):
     """documents → (doc_id, shingles list<uint64>, n_shingles), MATERIALIZED
     and memoized per sf_dir — the shared input of the MinHash and exact
@@ -233,66 +195,6 @@ def shingles_dataset(sf_dir: str):
     ds = docs.map_batches(batch, batch_format="pyarrow").materialize()
     _memo_put(_SHINGLES_CACHE, ck, ds)
     return ds
-
-
-def minhash_bands_batch(t: pa.Table, return_sig: bool = False):
-    """(doc_id, shingles) rows → exploded (band_id, band_hash, doc_id) rows
-    for the LSH bucket self-join. Vectorized: per-perm segmented minima
-    over the batch's flat shingle buffer compute every doc's signature at
-    once (values identical to ``minhash_signature`` — pytest-pinned), then
-    a multiply-xor fold + splitmix finisher collapses each band's rows.
-    The band hash is an INTERNAL bucket key only — equal chunks hash
-    equal under any deterministic function and every candidate is
-    exact-jaccard-verified downstream — so the fold replaces the old
-    per-band blake2b-over-hex Python call without changing results.
-
-    ``return_sig=True`` returns ``(bands_table, sig8)`` where ``sig8`` is
-    the per-doc signature folded to one byte per permutation
-    (``sig & 0xFF``, shape ``(n, N_PERM)`` uint8) — the ingestion-dedup
-    prefilter's agreement estimator: byte equality inflates the match
-    estimate by ≤ 1/256 per perm (keep-side only, so it can never cause
-    a miss beyond the full-signature estimator)."""
-    ids = t["doc_id"].to_numpy()
-    col = t["shingles"]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    n = len(col)
-    offs = col.offsets.to_numpy().astype(np.int64)
-    flat = col.values.to_numpy(zero_copy_only=False).astype(np.uint64, copy=False)
-    base = offs[0]                      # values is the UNSLICED child array
-    flat = flat[base:offs[-1]]
-    offs = offs - base
-    lens = np.diff(offs)
-    sig = np.full((n, N_PERM), _MERSENNE, dtype=np.uint64)
-    nz = np.flatnonzero(lens)
-    if len(nz):
-        # reduceat over non-empty starts: consecutive empty segments share
-        # their offset, so each slice is exactly one document's shingles
-        starts = offs[:-1][nz]
-        with np.errstate(over="ignore"):
-            for p in range(N_PERM):
-                v = (flat * _PERM_A[p] + _PERM_B[p]) % _MERSENNE
-                sig[nz, p] = np.minimum.reduceat(v, starts)
-    sigr = sig.reshape(n, N_BANDS, ROWS_PER_BAND)
-    with np.errstate(over="ignore"):
-        bh = sigr[:, :, 0].copy()
-        for r in range(1, ROWS_PER_BAND):
-            bh = bh * np.uint64(0x100000001B3) ^ sigr[:, :, r]
-        bh ^= bh >> np.uint64(33)
-        bh = bh * np.uint64(0xFF51AFD7ED558CCD)
-        bh ^= bh >> np.uint64(33)
-    out = pa.table(
-        {
-            "band_id": pa.array(np.tile(np.arange(N_BANDS, dtype=np.int32), n)),
-            # int64 view — join-key dtype must stay shuffle-safe (see the
-            # gram column in ngram explode); equality semantics unchanged
-            "band_hash": pa.array(bh.reshape(-1).view(np.int64), pa.int64()),
-            "doc_id": pa.array(np.repeat(ids, N_BANDS), pa.int64()),
-        }
-    )
-    if return_sig:
-        return out, (sig & np.uint64(0xFF)).astype(np.uint8)
-    return out
 
 
 def jaccard(s1: np.ndarray, s2: np.ndarray) -> float:
@@ -476,30 +378,6 @@ def _verify_pairs_by_count(cand, sh, threshold: float,
     return table_from_pandas(out)
 
 
-def segmented_jaccard(va: np.ndarray, offa: np.ndarray,
-                      vb: np.ndarray, offb: np.ndarray) -> np.ndarray:
-    """Exact per-pair Jaccard over packed segment pairs: ``va[offa[i]:
-    offa[i+1]]`` vs ``vb[offb[i]:offb[i+1]]``, each segment sorted-unique
-    uint64. ONE lexsort of (pair, value) over the concatenated buffers
-    makes every common element an adjacent duplicate inside its pair
-    segment, so intersection counts fall out of a single bincount — no
-    per-pair Python. Both-empty pairs score 1.0 (the scalar ``jaccard``
-    twin's convention, pytest-pinned)."""
-    la = np.diff(offa)
-    lb = np.diff(offb)
-    n = len(la)
-    pair = np.concatenate([
-        np.repeat(np.arange(n, dtype=np.int64), la),
-        np.repeat(np.arange(n, dtype=np.int64), lb)])
-    vals = np.concatenate([va, vb])
-    order = np.lexsort((vals, pair))
-    v, p = vals[order], pair[order]
-    dup = (v[1:] == v[:-1]) & (p[1:] == p[:-1])
-    inter = np.bincount(p[1:][dup], minlength=n).astype(np.int64)
-    union = la + lb - inter
-    return np.where(union > 0, inter / np.maximum(union, 1), 1.0)
-
-
 def _unpack_binary_u64(col) -> tuple[np.ndarray, np.ndarray]:
     """Packed binary column (raw little-endian uint64 runs, see
     ``_packed``) → (flat uint64 values, element offsets) with zero per-row
@@ -518,6 +396,10 @@ def _unpack_binary_u64(col) -> tuple[np.ndarray, np.ndarray]:
     return vals, (offs - offs[0]) // 8
 
 
+# candidate tables up to this many pairs pre-filter the shingle join sides
+_VERIFY_PREFILTER_MAX_PAIRS = 5_000_000
+
+
 def _verify_pairs(cand, sh, threshold: float) -> pa.Table:
     """Candidate (a, b) pairs → exact-Jaccard-verified (a, b, jaccard)
     table, a < b, sorted. Two hash joins attach each side's full shingle
@@ -527,14 +409,12 @@ def _verify_pairs(cand, sh, threshold: float) -> pa.Table:
     pairs, never change a reported jaccard value.
 
     The candidate table is materialized first (it feeds both joins) and,
-    while it stays under ``RAYCRAWL_UNIONFIND_MAX_PAIRS`` — the same
-    bounded-by-dup-volume posture as the component fold — its distinct doc
-    ids are broadcast so each join's shingle side is pre-filtered to
-    candidate docs only: the corpus-wide list column never enters a
+    while it stays under ``_VERIFY_PREFILTER_MAX_PAIRS`` (it is pulled
+    into the driver to find them), its distinct doc ids are broadcast so
+    each join's shingle side is pre-filtered to candidate docs only: the
+    corpus-wide list column never enters a
     shuffle, only the (tiny) near-dup docs' sets do. Above the gate the
     pre-filter is skipped and the joins run over the full shingle table."""
-    import os
-
     import ray
 
     cand = cand.materialize()
@@ -545,9 +425,8 @@ def _verify_pairs(cand, sh, threshold: float) -> pa.Table:
              "jaccard": pa.array([], pa.float64())}
         )
     parts = _join_parts_for(n_cand)
-    gate = int(os.environ.get("RAYCRAWL_UNIONFIND_MAX_PAIRS", str(5_000_000)))
     ids_ref = None
-    if n_cand <= gate:
+    if n_cand <= _VERIFY_PREFILTER_MAX_PAIRS:
         cp = cand.to_pandas()
         ids_ref = ray.put(np.unique(np.concatenate(
             [cp["a"].to_numpy(np.int64), cp["b"].to_numpy(np.int64)])))
@@ -712,7 +591,9 @@ def _parity(ds, rem: int):
 
 
 def _docs_index_tag(sf_dir: str) -> str:
-    """ann._index_tag's discipline over documents.parquet."""
+    """Content tag of documents.parquet: '<path hash>-<content hash>',
+    so a regenerated dataset at the same path never serves a stale index
+    and ``ann._gc_stale_siblings`` can drop the outdated copy."""
     import hashlib
 
     import pyarrow.parquet as pq_
@@ -1418,37 +1299,18 @@ def neardup_clusters(sf_dir: str, threshold: float = 0.6,
     bounded by near-dup volume, never corpus size).
 
     Distributed shape: pair finding is the fully-distributed
-    ``ngram_jaccard_pairs`` plan; the component fold is SIZE-GATED
-    (``_label_components``): below ``RAYCRAWL_UNIONFIND_MAX_PAIRS`` it is
-    a path-compressed driver union-find (~|pairs| work), above it the
-    log-round pointer-jumping Dataset fold takes over — so adversarial
-    dup rates where the pair table outgrows one driver heap stay
-    scale-safe end-to-end (VERDICT r3 next-round 6)."""
+    ``ngram_jaccard_pairs`` plan; the component fold
+    (``_label_components``) is a path-compressed union-find in the driver
+    (~|pairs| work), so the pair table must fit the driver heap."""
     pairs = ngram_jaccard_pairs(sf_dir, threshold, df_cap)
     lab = _label_components(pairs)
     return _clusters_from_labels(lab)
 
 
-# pair tables below this use the driver union-find; above it (or when the
-# env forces 0, as the forced-path tests do) the pointer-jumping Dataset
-# fold runs instead — same answer, no driver heap dependence
-_UNIONFIND_MAX_PAIRS_DEFAULT = 2_000_000
-
-
 def _label_components(pairs: pa.Table) -> pa.Table:
-    """(node, lbl) component labels over an undirected pair table, gated
-    on pair volume (mirrors ``_broadcast_ok``'s pattern): the driver
-    union-find is cheaper while the pair table fits one heap; past the
-    gate the distributed pointer-jumping fold produces the identical
-    labeling (pytest-pinned equal on both paths)."""
-    gate = int(os.environ.get("RAYCRAWL_UNIONFIND_MAX_PAIRS",
-                              _UNIONFIND_MAX_PAIRS_DEFAULT))
-    if pairs.num_rows > gate:
-        return label_components_distributed(pairs)
-    return _label_components_driver(pairs)
-
-
-def _label_components_driver(pairs: pa.Table) -> pa.Table:
+    """(node, lbl) component labels over an undirected pair table: union
+    by min with path compression, so every label is its component's
+    smallest node."""
     a = pairs["a"].to_numpy()
     b = pairs["b"].to_numpy()
     parent: dict[int, int] = {}
@@ -1571,9 +1433,7 @@ def documents_deduped(sf_dir: str, threshold: float = 0.6,
     The removal set is tiny relative to the corpus (bounded by dup
     volume), so applying it is a BROADCAST filter: ``ray.put`` the sorted
     removal ids once, each batch drops matches with one searchsorted —
-    no shuffle touches the wide ``documents`` table. The near-dup
-    component fold inside ``neardup_clusters`` is size-gated
-    (``_label_components``), so the apply path is scale-safe end-to-end.
+    no shuffle touches the wide ``documents`` table.
     Output: surviving (doc_id, lang, n_chars), ordered.
     """
     import ray
@@ -1622,126 +1482,6 @@ def documents_deduped_sql(threshold: float = 0.6, df_cap: int = 1000) -> str:
     FROM documents d ANTI JOIN rm USING (doc_id)
     ORDER BY d.doc_id
     """
-
-
-def label_components_distributed(pairs: pa.Table, max_rounds: int = 64):
-    """Connected components as pure Dataset ops — the scale path the
-    union-find docstring promises. Each round: (1) min-label propagation
-    — every node takes the min of its own and its neighbors' labels (two
-    hash-partitioned groupbys, no Acero join); (2) POINTER JUMPING —
-    every node re-reads its label's OWN label (one more keyed groupby:
-    labels double as both answers and requests), so label trees halve in
-    height each round and a path component of length n converges in
-    O(log n) rounds, not O(n) — an adversarial chain of near-dups cannot
-    exhaust the round budget.
-
-    Convergence detection without a join: labels only ever decrease, so
-    the global label SUM strictly decreases until fixpoint — one cheap
-    aggregate per round; exhausting ``max_rounds`` without a fixpoint
-    raises rather than returning silently-unmerged components. Returns a
-    pa.Table (node, lbl); both are bounded by pair volume, never corpus
-    size. Node ids must be non-negative (-1 is the in-band answer-row
-    marker, as in the scatter step).
-    """
-    import ray.data as rd
-    from ray.data.aggregate import Min, Sum
-
-    if pairs.num_rows == 0:                    # no near-dups: no components
-        return pa.table({"node": pa.array([], pa.int64()),
-                         "lbl": pa.array([], pa.int64())})
-
-    a = pairs["a"].to_numpy().astype(np.int64)
-    b = pairs["b"].to_numpy().astype(np.int64)
-    # symmetric edge list; -1 marks "label carrier" rows in the union
-    edges = pa.table({"key": pa.array(np.concatenate([a, b])),
-                      "dst": pa.array(np.concatenate([b, a]))})
-    nodes = np.unique(np.concatenate([a, b]))
-    edges_ds = rd.from_arrow(edges.append_column(
-        "lbl", pa.array(np.full(edges.num_rows, -1, np.int64)))).materialize()
-    labels_ds = rd.from_arrow(pa.table({
-        "key": pa.array(nodes),
-        "dst": pa.array(np.full(len(nodes), -1, np.int64)),
-        "lbl": pa.array(nodes),
-    })).materialize()
-
-    def scatter(g: pa.Table) -> pa.Table:
-        dst = g["dst"].to_numpy()
-        lbl = g["lbl"].to_numpy()
-        my = lbl[dst == -1].min()           # this node's current label
-        out_nodes = dst[dst != -1]
-        return pa.table({
-            "node": pa.array(np.concatenate(
-                [out_nodes, g["key"][:1].to_numpy()]).astype(np.int64)),
-            "cand": pa.array(np.full(len(out_nodes) + 1, my, np.int64)),
-        })
-
-    def as_label_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "key": t["node"].cast(pa.int64()),
-            "dst": pa.array(np.full(t.num_rows, -1, np.int64)),
-            "lbl": t["lbl"].cast(pa.int64()),
-        })
-
-    def as_requests(t: pa.Table) -> pa.Table:
-        # ask my label-node for ITS label: key = lbl, dst = me
-        return pa.table({
-            "key": t["lbl"],
-            "dst": t["key"],
-            "lbl": pa.array(np.full(t.num_rows, -1, np.int64)),
-        })
-
-    def answer(g: pa.Table) -> pa.Table:
-        dst = g["dst"].to_numpy()
-        lbl = g["lbl"].to_numpy()
-        mine = dst == -1
-        my = lbl[mine].min()               # this node's current label
-        asked = dst[~mine]                 # nodes whose label points here
-        return pa.table({
-            "key": pa.array(asked.astype(np.int64)),
-            "dst": pa.array(np.full(len(asked), -1, np.int64)),
-            "lbl": pa.array(np.full(len(asked), my, np.int64)),
-        })
-
-    prev_sum = None
-    converged = False
-    for _ in range(max_rounds):
-        # materialize ONCE per round: the convergence aggregate and the
-        # next round both read the same executed blocks (no re-execution,
-        # and the label table never passes through the driver)
-        propagated = (
-            edges_ds.union(labels_ds)
-            .groupby("key").map_groups(scatter, batch_format="pyarrow")
-            .groupby("node").aggregate(Min("cand", alias_name="lbl"))
-            .map_batches(as_label_rows, batch_format="pyarrow")
-        )
-        # pointer jump: every node appears in exactly one request row, so
-        # the grouped answers ARE the next label table (no extra min)
-        labels_ds = (
-            propagated.map_batches(as_requests, batch_format="pyarrow")
-            .union(propagated)
-            .groupby("key").map_groups(answer, batch_format="pyarrow")
-            .materialize()
-        )
-        cur_sum = labels_ds.aggregate(Sum("lbl"))["sum(lbl)"]
-        if prev_sum is not None and cur_sum == prev_sum:
-            converged = True
-            break
-        prev_sum = cur_sum
-    if not converged:
-        raise RuntimeError(
-            f"label propagation did not converge in {max_rounds} rounds")
-    out = table_from_pandas(labels_ds.to_pandas())
-    return pa.table({"node": out["key"], "lbl": out["lbl"]})
-
-
-def neardup_clusters_distributed(sf_dir: str, threshold: float = 0.6,
-                                 df_cap: int = 1000) -> pa.Table:
-    """Same contract (and same SQL oracle) as ``neardup_clusters``, but
-    the component fold is ALWAYS the distributed min-label propagation
-    (no size gate) — the shape that survives adversarial dup rates where
-    the pair table outgrows one driver heap."""
-    pairs = ngram_jaccard_pairs(sf_dir, threshold, df_cap)
-    return _clusters_from_labels(label_components_distributed(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -1834,7 +1574,7 @@ def substring_dedup_apply(sf_dir: str, k: int = SUBSTR_K) -> pa.Table:
     """Per-doc result of removing every non-canonical duplicated k-gram
     span: (doc_id, n_removed_words, n_kept_words, kept_md5), ordered.
 
-    Size-gated two ways (mirrors ``documents_deduped`` / ``_broadcast_ok``):
+    Size-gated two ways (mirrors ``relational._broadcast_ok``):
     below RAYCRAWL_SUBSTR_MAX_OCC the removal set broadcasts (``ray.put``
     the occurrences sorted by packed key; each batch slices its docs'
     removals by searchsorted); above it the occurrences are packed into

@@ -46,7 +46,17 @@ import pyarrow as pa
 
 from raycrawl import dns_synth, sim
 from raycrawl.fetch import STATUS_ROBOTS
-from raycrawl.kernels import hash128
+from raycrawl.kernels import (
+    _LANG_HINTS,
+    _MERSENNE,
+    _PERM_A,
+    _PERM_B,
+    STOPWORDS,
+    WORD_RE,
+    hash128,
+    minhash_signature,
+    token_hash64,
+)
 from raycrawl.seen import SeenRouter
 
 ROUND_OUT_SCHEMA = pa.schema(
@@ -144,8 +154,6 @@ _WORD_PAT = r"[\p{L}\p{N}_]+"
 def _lang_grams():
     """The language-hint languages, their distinct grams, and a (gram ×
     language) count matrix: a language's score sums its grams' counts."""
-    from raycrawl.textops import _LANG_HINTS
-
     langs = [lang for lang, grams in _LANG_HINTS.items() if grams]
     grams = list(dict.fromkeys(g for lang in langs for g in _LANG_HINTS[lang]))
     w = np.array([[_LANG_HINTS[lang].count(g) for lang in langs]
@@ -161,9 +169,6 @@ def enrich_page(html_text: str) -> dict:
     _MAX_TOKENS tokens, language ID over the first _LANGID_CHARS chars —
     standard practice for per-page featurization, and it bounds the memory
     traffic per page (full-text rescans were the throughput ceiling)."""
-    from raycrawl.kernels import token_hash64
-    from raycrawl.textops import _LANG_HINTS, STOPWORDS, WORD_RE
-
     text = _TAG_RE.sub("", html_text)
     tokens = text.split()
     n_tok = len(tokens)
@@ -195,8 +200,6 @@ def enrich_page(html_text: str) -> dict:
             with np.errstate(over="ignore"):
                 sh = th[:-2] * _FP_MULT ^ th[1:-1] * np.uint64(1099511628211) ^ th[2:]
             sh = np.unique(sh)
-            from raycrawl.dedup import minhash_signature
-
             minhash0 = int(minhash_signature(sh)[0])
         else:
             minhash0 = int(th.min())
@@ -239,9 +242,6 @@ def enrich_pages(htmls) -> dict:
     the global roll array, so a segmented reduce can't express them)."""
     import polars as pl
 
-    from raycrawl.dedup import _MERSENNE, _PERM_A, _PERM_B
-    from raycrawl.textops import STOPWORDS
-
     if not isinstance(htmls, pa.Array):
         htmls = pa.array(htmls, pa.string())
     n = len(htmls)
@@ -277,7 +277,7 @@ def enrich_pages(htmls) -> dict:
 
     # langid over the first _LANGID_CHARS chars (slice THEN lowercase,
     # like the scalar): one overlapping Aho-Corasick pass finds every gram
-    # (exact, see textops._LANG_HINTS), then per-page gram counts →
+    # (exact, see kernels._LANG_HINTS), then per-page gram counts →
     # per-language scores; np.argmax first-max == dict-order tie-break
     langs, grams, lang_w = _lang_grams()
     low = text.str.slice(0, _LANGID_CHARS).str.to_lowercase()
@@ -294,8 +294,6 @@ def enrich_pages(htmls) -> dict:
 
     flat = window.explode(empty_as_null=False).drop_nulls()
     if len(flat):
-        from raycrawl.kernels import token_hash64
-
         th_all = token_hash64(flat.to_arrow())
     else:
         th_all = np.empty(0, dtype=np.uint64)

@@ -321,258 +321,3 @@ def crawl_pagerank_sql(edges_expr: str, crawl_id: str, iters: int = 10) -> str:
     {steps}
     SELECT node, r AS rank_units FROM r{iters} ORDER BY node
     """
-
-
-# ---------------------------------------------------------------------------
-# HITS (hubs & authorities) — same integer-exact discipline as PageRank
-# ---------------------------------------------------------------------------
-#
-# Kleinberg's HITS ("Authoritative sources in a hyperlinked environment",
-# JACM 1999): a(v) = sum of h over in-neighbors, h(u) = sum of a over
-# out-neighbors. The float algorithm L2-normalizes each step; to keep the
-# DuckDB oracle bit-identical we instead RESCALE in exact integers: after
-# each sum, divide both vectors by max(1, max(x) >> 20). That bounds
-# every value near 2^21, so a following sum is <= n * 2^21 — int64-safe
-# for graphs to ~2^40 nodes — while preserving the relative ordering the
-# normalization exists for. Every op is order-independent (sums, max,
-# floor div), so driver, sharded and SQL paths agree bit-for-bit.
-
-H0 = 1 << 20          # initial hub units per node
-RESCALE_DIV = 1 << 20  # rescale denominator: max(1, max >> 20)
-
-
-def crawl_hits(edges_ds, crawl_id: str, iters: int = 8,
-               distributed: bool | None = None,
-               driver_max_edges: int = 100_000) -> pa.Table:
-    """Integer-unit HITS over one crawl's link graph. Returns
-    (node, auth_units:int64, hub_units:int64) ordered by node.
-
-    Size-gated exactly like ``crawl_pagerank``: below the gate a
-    vectorized ``np.add.at`` loop over dense node indices; above it (or
-    ``distributed=True``) the Pregel-on-a-Dataset encoding — each
-    half-step is union(edge rows keyed at the value-holding endpoint,
-    value rows) → ``groupby(key).map_groups`` scatter → ``groupby(node)``
-    sum gather, with the rescale factor read back as ONE Max-aggregate
-    scalar per half-step (the only driver traffic; the value table itself
-    never leaves the cluster). Both paths pytest-pinned equal."""
-    from ray.data.aggregate import Max
-
-    filtered = edges_ds.map_batches(
-        lambda t: t.filter(pc.equal(t["crawl_id"], crawl_id))
-                   .select(["src", "dst"]),
-        batch_format="pyarrow").materialize()
-    if distributed is None:
-        distributed = filtered.count() > driver_max_edges
-
-    empty = pa.table({"node": pa.array([], pa.string()),
-                      "auth_units": pa.array([], pa.int64()),
-                      "hub_units": pa.array([], pa.int64())})
-
-    if not distributed:
-        edges = table_from_pandas(filtered.to_pandas())
-        if edges.num_rows == 0:
-            return empty
-        src = edges["src"].to_numpy(zero_copy_only=False)
-        dst = edges["dst"].to_numpy(zero_copy_only=False)
-        nodes, inv = np.unique(np.concatenate([src, dst]),
-                               return_inverse=True)
-        si, di = inv[: len(src)], inv[len(src):]
-        n = len(nodes)
-        h = np.full(n, H0, np.int64)
-        a = np.zeros(n, np.int64)
-        for _ in range(iters):
-            a = np.zeros(n, np.int64)
-            np.add.at(a, di, h[si])
-            a //= max(1, int(a.max()) // RESCALE_DIV)
-            h = np.zeros(n, np.int64)
-            np.add.at(h, si, a[di])
-            h //= max(1, int(h.max()) // RESCALE_DIV)
-        return pa.table({"node": pa.array(nodes),
-                         "auth_units": pa.array(a),
-                         "hub_units": pa.array(h)})
-
-    # ---- sharded path: static inputs materialized once, both edge
-    # orientations keyed by 8-byte node ids on the shared id%P partition
-    # key (row type disambiguated by v: value rows carry v ≥ 0, edge rows
-    # v = -1; rescaled values are always ≥ 0) -----------------------------
-    P = _graph_parts()
-
-    def _edge_rows(key_col: str, oth_col: str):
-        def fn(t: pa.Table) -> pa.Table:
-            kid = _node_ids(t[key_col])
-            return pa.table({
-                "key": pa.array(kid, pa.int64()),
-                "oth": pa.array(_node_ids(t[oth_col]), pa.int64()),
-                "v": pa.array(np.full(t.num_rows, -1, np.int64)),
-                "part": _part_of_ids(kid, P),
-            })
-        return fn
-
-    by_src = filtered.map_batches(_edge_rows("src", "dst"),
-                                  batch_format="pyarrow").materialize()
-    by_dst = filtered.map_batches(_edge_rows("dst", "src"),
-                                  batch_format="pyarrow").materialize()
-
-    nodes_ds = _distinct_nodes(filtered, ("src", "dst"), P).materialize()
-    zero_rows = nodes_ds.map_batches(
-        lambda t: pa.table({"id": t["id"],
-                            "c": pa.array(np.zeros(t.num_rows, np.int64)),
-                            "part": t["part"]}),
-        batch_format="pyarrow").materialize()
-    if zero_rows.count() == 0:
-        return empty
-
-    def as_value_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "key": t["id"],
-            "oth": pa.array(np.zeros(t.num_rows, np.int64)),
-            "v": pa.array(np.full(t.num_rows, H0, np.int64)),
-            "part": t["part"],
-        })
-
-    _empty_contrib = pa.schema([("id", pa.int64()), ("c", pa.int64()),
-                                ("part", pa.int32())])
-
-    def scatter_part(g: pa.Table) -> pa.Table:
-        """One hash partition → (oth-id, v-of-key) rows for EVERY key in
-        it, vectorized (HITS scatter copies the key's value to each
-        incident edge — no division)."""
-        key = g["key"].to_numpy(zero_copy_only=False)
-        oth = g["oth"].to_numpy(zero_copy_only=False)
-        v = g["v"].to_numpy(zero_copy_only=False).astype(np.int64)
-        is_val = v >= 0
-        if not is_val.any() or is_val.all():
-            return _empty_contrib.empty_table()
-        vk, vv = key[is_val], v[is_val]
-        o = np.argsort(vk, kind="stable")
-        vk, vv = vk[o], vv[o]
-        ek, eo_ = key[~is_val], oth[~is_val]
-        pos = np.searchsorted(vk, ek)
-        assert len(vk) > pos.max() >= 0 and (vk[pos] == ek).all()
-        return pa.table({
-            "id": pa.array(eo_, pa.int64()),
-            "c": pa.array(vv[pos], pa.int64()),
-            "part": _part_of_ids(eo_, P),
-        })
-
-    def gather_part(t: pa.Table) -> pa.Table:
-        import polars as pl
-
-        agg = (pl.from_arrow(t.select(["id", "c", "part"]))
-               .group_by("id")
-               .agg(pl.col("c").sum().alias("v"), pl.col("part").first())
-               .to_arrow())
-        return agg.cast(pa.schema([("id", pa.int64()), ("v", pa.int64()),
-                                   ("part", pa.int32())]))
-
-    def half_step(edge_rows, value_rows):
-        summed = (
-            edge_rows.union(value_rows)
-            .groupby("part").map_groups(scatter_part, batch_format="pyarrow")
-            .union(zero_rows)
-            .groupby("part").map_groups(gather_part, batch_format="pyarrow")
-            .materialize()
-        )
-        mx = int(summed.aggregate(Max("v"))["max(v)"] or 0)
-        s = max(1, mx // RESCALE_DIV)
-
-        def rescale_relabel(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "key": t["id"],
-                "oth": pa.array(np.zeros(t.num_rows, np.int64)),
-                "v": pa.array(t["v"].to_numpy().astype(np.int64) // s),
-                "part": t["part"],
-            })
-
-        return summed.map_batches(
-            rescale_relabel, batch_format="pyarrow").materialize()
-
-    h_rows = nodes_ds.map_batches(as_value_rows,
-                                  batch_format="pyarrow").materialize()
-    a_rows = None
-    for _ in range(iters):
-        a_rows = half_step(by_src, h_rows)    # a(v) = sum h over in-edges
-        h_rows = half_step(by_dst, a_rows)    # h(u) = sum a over out-edges
-
-    # final assembly: one driver-side merge maps ids back to node strings
-    # (vectorized — no per-node dict lookup)
-    af = a_rows.to_pandas()[["key", "v"]].rename(columns={"v": "auth_units"})
-    hf = h_rows.to_pandas()[["key", "v"]].rename(columns={"v": "hub_units"})
-    names = nodes_ds.to_pandas()[["node", "id"]]
-    out = (names.merge(af, left_on="id", right_on="key")
-           .merge(hf, left_on="id", right_on="key")
-           .sort_values("node"))
-    return pa.table({
-        "node": pa.array(out["node"].to_numpy(), pa.string()),
-        "auth_units": pa.array(out["auth_units"].to_numpy()
-                               .astype(np.int64)),
-        "hub_units": pa.array(out["hub_units"].to_numpy().astype(np.int64)),
-    })
-
-
-def hits_reference(src, dst, iters: int = 8) -> dict:
-    """Single-process exact twin (tests): same integer recurrence.
-    Returns {node: (auth_units, hub_units)}."""
-    nodes = sorted(set(src) | set(dst))
-    h = {n: H0 for n in nodes}
-    a = {n: 0 for n in nodes}
-    for _ in range(iters):
-        a = {n: 0 for n in nodes}
-        for s, d in zip(src, dst):
-            a[d] += h[s]
-        sa = max(1, max(a.values()) // RESCALE_DIV)
-        a = {n: v // sa for n, v in a.items()}
-        h = {n: 0 for n in nodes}
-        for s, d in zip(src, dst):
-            h[s] += a[d]
-        sh = max(1, max(h.values()) // RESCALE_DIV)
-        h = {n: v // sh for n, v in h.items()}
-    return {n: (a[n], h[n]) for n in nodes}
-
-
-def crawl_hits_sql(edges_expr: str, crawl_id: str, iters: int = 8) -> str:
-    """Unrolled fixed-iteration CTE chain, all-BIGINT — bit-identical to
-    the Ray result (same sums, same max-based rescale, same floor div).
-
-    The rescale divisor is a window ``max(v) OVER ()`` in the same
-    projection, NOT a scalar subquery over the previous CTE: DuckDB
-    inlines CTEs, so a second reference would re-expand the whole chain
-    at each step — exponential plan growth (iters=8 never finished as a
-    subquery; the window form keeps every CTE single-referenced, linear
-    like crawl_pagerank_sql's)."""
-    step_tpl = """
-    a{i1} AS (
-      SELECT n.node, CAST(COALESCE(SUM(p.v), 0) AS BIGINT) AS v
-      FROM nodes n
-      LEFT JOIN e ON e.dst = n.node
-      LEFT JOIN h{i0}s p ON p.node = e.src
-      GROUP BY n.node
-    ),
-    a{i1}s AS (
-      SELECT node, v // GREATEST(1, max(v) OVER () // {div}) AS v
-      FROM a{i1}
-    ),
-    h{i1} AS (
-      SELECT n.node, CAST(COALESCE(SUM(p.v), 0) AS BIGINT) AS v
-      FROM nodes n
-      LEFT JOIN e ON e.src = n.node
-      LEFT JOIN a{i1}s p ON p.node = e.dst
-      GROUP BY n.node
-    ),
-    h{i1}s AS (
-      SELECT node, v // GREATEST(1, max(v) OVER () // {div}) AS v
-      FROM h{i1}
-    )"""
-    steps = ",".join(
-        step_tpl.format(i1=i + 1, i0=i, div=RESCALE_DIV)
-        for i in range(iters)
-    )
-    return f"""
-    WITH e AS (SELECT src, dst FROM {edges_expr} WHERE crawl_id = '{crawl_id}'),
-    nodes AS (SELECT src AS node FROM e UNION SELECT dst FROM e),
-    h0s AS (SELECT node, CAST({H0} AS BIGINT) AS v FROM nodes),
-    {steps}
-    SELECT a.node, a.v AS auth_units, h.v AS hub_units
-    FROM a{iters}s a JOIN h{iters}s h ON h.node = a.node
-    ORDER BY a.node
-    """

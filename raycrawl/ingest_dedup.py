@@ -15,8 +15,8 @@ Semantics (mirrors the reference-corpus documents lane,
   ingestion, and is excluded);
 - page text = tag-stripped fetch body (``<[^>]+>`` → "", exactly the
   corpus generator's ``text`` column), 3-gram md5 shingles
-  (``dedup.shingle_list_batch``), MinHash bands
-  (``dedup.minhash_bands_batch``);
+  (``kernels.shingle_list_batch``), MinHash bands
+  (``kernels.minhash_bands_batch``);
 - ingestion order = (probe round, node_id). A page's ``near_dup_of`` is
   the earliest page in that order whose exact shingle Jaccard is ≥ the
   threshold among its LSH band candidates (the same candidate
@@ -58,14 +58,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from raycrawl.dedup import (
+from raycrawl.errors import StateError
+from raycrawl.kernels import (
     N_BANDS,
     N_PERM,
     minhash_bands_batch,
     segmented_jaccard,
     shingle_list_batch,
 )
-from raycrawl.errors import StateError
 
 NEARDUP_SCHEMA = pa.schema(
     [

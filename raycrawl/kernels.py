@@ -655,6 +655,172 @@ def _gram_md5_from_ranges(big: np.ndarray, gs: np.ndarray,
     return md5_u64_arrow(arr)
 
 
+
+# ---------------------------------------------------------------------------
+# MinHash and the enrichment text constants: the crawl's page enrichment
+# (frontier) and its ingest near-dup stage (ingest_dedup) use these, so they
+# live here rather than in the documents-lane modules (dedup, textops),
+# which re-export them and load pandas.
+# ---------------------------------------------------------------------------
+
+_MERSENNE = np.uint64((1 << 61) - 1)
+N_PERM = 64
+N_BANDS = 16          # 4 rows per band
+ROWS_PER_BAND = N_PERM // N_BANDS
+
+_rng = np.random.default_rng(0xC0FFEE)
+_PERM_A = _rng.integers(1, (1 << 61) - 1, size=N_PERM, dtype=np.uint64)
+_PERM_B = _rng.integers(0, (1 << 61) - 1, size=N_PERM, dtype=np.uint64)
+
+WORD_RE = re.compile(r"\w+", re.UNICODE)
+
+STOPWORDS = frozenset(
+    "the a of and to in is it for on with as at by an be this that".split()
+)
+
+# tiny deterministic char-trigram language profiles for the 5 corpus langs
+_LANG_HINTS = {
+    "en": ["the", "ing", "ion", " th", "and"],
+    "de": ["der", "sch", "ein", "ich", "und"],
+    "fr": ["les", "ent", "que", " de", "ion"],
+    "es": ["los", "cio", " de", "que", "ado"],
+    "zh": [],  # CJK detection is by codepoint range (textops.langid_batch)
+}
+# frontier.enrich_pages counts the grams in one overlapping pass, the scalar
+# scorers with str.count, which does not overlap: the two agree only while
+# no gram has a proper border (a prefix that is also a suffix)
+for _g in {g for grams in _LANG_HINTS.values() for g in grams}:
+    if any(_g[:k] == _g[-k:] for k in range(1, len(_g))):
+        raise ValueError(f"language gram {_g!r} has a border")
+
+
+def minhash_signature(shingles: np.ndarray) -> np.ndarray:
+    """(N_PERM,) uint64 signature: min over (a*h+b mod 2^61-1) per perm."""
+    if len(shingles) == 0:
+        return np.full(N_PERM, np.uint64(_MERSENNE), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        v = (shingles[None, :] * _PERM_A[:, None] + _PERM_B[:, None]) % _MERSENNE
+    return v.min(axis=1)
+
+
+def shingle_list_batch(doc_id_col, texts, k: int = 3) -> pa.Table:
+    """(doc ids, texts) → (doc_id, shingles list<uint64>, n_shingles) —
+    vectorized twin of the scalar ``dedup.shingle_set`` (pytest-pinned equal):
+    one segmented gram gather + one DuckDB md5 call per batch, then
+    per-doc sorted-unique via one lexsort. The list column is built
+    straight from the deduped flat buffer — no per-row Python, no boxing.
+    Shared by the documents lane (``shingles_dataset``) and the crawl's
+    ingestion-dedup stage (raycrawl.ingest_dedup)."""
+    h, offs = md5_gram_hashes(texts, k=k)
+    n = len(texts)
+    doc_idx = np.repeat(np.arange(n, dtype=np.int64), np.diff(offs))
+    order = np.lexsort((h, doc_idx))
+    hs, di = h[order], doc_idx[order]
+    if len(hs):
+        keep = np.empty(len(hs), dtype=bool)
+        keep[0] = True
+        keep[1:] = (hs[1:] != hs[:-1]) | (di[1:] != di[:-1])
+        hs, di = hs[keep], di[keep]
+    counts = (np.bincount(di, minlength=n).astype(np.int64)
+              if len(di) else np.zeros(n, np.int64))
+    new_offs = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(counts, out=new_offs[1:])
+    return pa.table(
+        {
+            "doc_id": (doc_id_col if isinstance(doc_id_col, (pa.Array,
+                                                             pa.ChunkedArray))
+                       else pa.array(doc_id_col, pa.int64())),
+            "shingles": pa.ListArray.from_arrays(
+                pa.array(new_offs, pa.int32()), pa.array(hs, pa.uint64())),
+            "n_shingles": pa.array(counts, pa.int64()),
+        }
+    )
+
+
+def minhash_bands_batch(t: pa.Table, return_sig: bool = False):
+    """(doc_id, shingles) rows → exploded (band_id, band_hash, doc_id) rows
+    for the LSH bucket self-join. Vectorized: per-perm segmented minima
+    over the batch's flat shingle buffer compute every doc's signature at
+    once (values identical to ``minhash_signature`` — pytest-pinned), then
+    a multiply-xor fold + splitmix finisher collapses each band's rows.
+    The band hash is an INTERNAL bucket key only — equal chunks hash
+    equal under any deterministic function and every candidate is
+    exact-jaccard-verified downstream — so the fold replaces the old
+    per-band blake2b-over-hex Python call without changing results.
+
+    ``return_sig=True`` returns ``(bands_table, sig8)`` where ``sig8`` is
+    the per-doc signature folded to one byte per permutation
+    (``sig & 0xFF``, shape ``(n, N_PERM)`` uint8) — the ingestion-dedup
+    prefilter's agreement estimator: byte equality inflates the match
+    estimate by ≤ 1/256 per perm (keep-side only, so it can never cause
+    a miss beyond the full-signature estimator)."""
+    ids = t["doc_id"].to_numpy()
+    col = t["shingles"]
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    n = len(col)
+    offs = col.offsets.to_numpy().astype(np.int64)
+    flat = col.values.to_numpy(zero_copy_only=False).astype(np.uint64, copy=False)
+    base = offs[0]                      # values is the UNSLICED child array
+    flat = flat[base:offs[-1]]
+    offs = offs - base
+    lens = np.diff(offs)
+    sig = np.full((n, N_PERM), _MERSENNE, dtype=np.uint64)
+    nz = np.flatnonzero(lens)
+    if len(nz):
+        # reduceat over non-empty starts: consecutive empty segments share
+        # their offset, so each slice is exactly one document's shingles
+        starts = offs[:-1][nz]
+        with np.errstate(over="ignore"):
+            for p in range(N_PERM):
+                v = (flat * _PERM_A[p] + _PERM_B[p]) % _MERSENNE
+                sig[nz, p] = np.minimum.reduceat(v, starts)
+    sigr = sig.reshape(n, N_BANDS, ROWS_PER_BAND)
+    with np.errstate(over="ignore"):
+        bh = sigr[:, :, 0].copy()
+        for r in range(1, ROWS_PER_BAND):
+            bh = bh * np.uint64(0x100000001B3) ^ sigr[:, :, r]
+        bh ^= bh >> np.uint64(33)
+        bh = bh * np.uint64(0xFF51AFD7ED558CCD)
+        bh ^= bh >> np.uint64(33)
+    out = pa.table(
+        {
+            "band_id": pa.array(np.tile(np.arange(N_BANDS, dtype=np.int32), n)),
+            # int64 view — join-key dtype must stay shuffle-safe (see the
+            # gram column in ngram explode); equality semantics unchanged
+            "band_hash": pa.array(bh.reshape(-1).view(np.int64), pa.int64()),
+            "doc_id": pa.array(np.repeat(ids, N_BANDS), pa.int64()),
+        }
+    )
+    if return_sig:
+        return out, (sig & np.uint64(0xFF)).astype(np.uint8)
+    return out
+
+
+def segmented_jaccard(va: np.ndarray, offa: np.ndarray,
+                      vb: np.ndarray, offb: np.ndarray) -> np.ndarray:
+    """Exact per-pair Jaccard over packed segment pairs: ``va[offa[i]:
+    offa[i+1]]`` vs ``vb[offb[i]:offb[i+1]]``, each segment sorted-unique
+    uint64. ONE lexsort of (pair, value) over the concatenated buffers
+    makes every common element an adjacent duplicate inside its pair
+    segment, so intersection counts fall out of a single bincount — no
+    per-pair Python. Both-empty pairs score 1.0 (the scalar
+    ``dedup.jaccard`` twin's convention, pytest-pinned)."""
+    la = np.diff(offa)
+    lb = np.diff(offb)
+    n = len(la)
+    pair = np.concatenate([
+        np.repeat(np.arange(n, dtype=np.int64), la),
+        np.repeat(np.arange(n, dtype=np.int64), lb)])
+    vals = np.concatenate([va, vb])
+    order = np.lexsort((vals, pair))
+    v, p = vals[order], pair[order]
+    dup = (v[1:] == v[:-1]) & (p[1:] == p[:-1])
+    inter = np.bincount(p[1:][dup], minlength=n).astype(np.int64)
+    union = la + lb - inter
+    return np.where(union > 0, inter / np.maximum(union, 1), 1.0)
+
+
 def list_matrix(col) -> np.ndarray:
     """Arrow ``list<float>`` column -> ``(n, dim)`` float64 matrix without
     a per-row Python round-trip: uniform-width, null-free lists (the
@@ -692,8 +858,7 @@ def knuth_key32(ids: np.ndarray, seed: int = 0) -> np.ndarray:
     with each other and with their DuckDB twins (the SQL spelling lives
     next to each oracle), so every caller goes through this helper —
     edit the formula in one place or not at all. seed=0 degenerates to
-    the unsalted ``documents_hash_sample`` form. Exact (and oracle-equal)
-    for every doc_id < 2^63."""
+    the unsalted form. Exact (and oracle-equal) for every doc_id < 2^63."""
     mod32 = np.uint64(1 << 32)
     salt = np.uint64((seed * 2654435761) % (1 << 32))
     v = ids.astype(np.uint64, copy=False)

@@ -247,251 +247,3 @@ def media_summary_sql() -> str:
            CAST(sum(w) AS BIGINT) AS sum_width, CAST(sum(h) AS BIGINT) AS sum_height
     FROM m GROUP BY 1 ORDER BY decode_ok
     """
-
-
-# ---------------------------------------------------------------------------
-# video (frame sampling) and audio (windowed features) lanes
-# ---------------------------------------------------------------------------
-#
-# Same plumbing pattern as the image lane: deterministic synthetic payloads
-# (header + seeded body) stand in for real encodings; the Ray-side stages —
-# actor pool, batch sizing for large binaries, output schema — are real.
-# Headers derive from md5_u64 == DuckDB md5_number_lower, so structural
-# outputs (frame counts, window counts) have full SQL oracles; body-derived
-# stats (per-frame means, RMS) are checked by pytest against a direct
-# recomputation instead.
-
-_VMAGIC = b"RCVD"
-_AMAGIC = b"RCAU"
-
-
-def synth_video(media_id: int) -> tuple[bytes, int, int, int]:
-    """RCVD + n_frames + w + h, then n_frames seeded wxhx3 frames."""
-    h64 = md5_u64(f"video:{media_id}")
-    n_frames = 4 + int(h64 % 12)          # 4..15
-    w = 8 + int((h64 >> 8) % 8)           # 8..15
-    h = 8 + int((h64 >> 16) % 8)
-    rng = np.random.default_rng(h64 % (1 << 32))
-    body = rng.integers(0, 256, size=n_frames * w * h * 3, dtype=np.uint8)
-    return (_VMAGIC + struct.pack("<HHH", n_frames, w, h) + body.tobytes(),
-            n_frames, w, h)
-
-
-def synth_audio(media_id: int) -> tuple[bytes, int, int]:
-    """RCAU + sample_rate + n_samples, then seeded int16 PCM."""
-    h64 = md5_u64(f"audio:{media_id}")
-    sr = 8000
-    n = 4000 + int(h64 % 4000)            # 4000..7999 samples
-    rng = np.random.default_rng(h64 % (1 << 32))
-    pcm = rng.integers(-(1 << 15), 1 << 15, size=n, dtype=np.int16)
-    return _AMAGIC + struct.pack("<II", sr, n) + pcm.tobytes(), sr, n
-
-
-def video_table(sf_dir: str):
-    def batch(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "payload": pa.array(
-                    [synth_video(int(i))[0] for i in ids], pa.binary()
-                ),
-            }
-        )
-
-    return _t(sf_dir, "documents", ["doc_id"]).map_batches(
-        batch, batch_format="pyarrow", batch_size=128
-    )
-
-
-def audio_table(sf_dir: str):
-    def batch(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "payload": pa.array(
-                    [synth_audio(int(i))[0] for i in ids], pa.binary()
-                ),
-            }
-        )
-
-    return _t(sf_dir, "documents", ["doc_id"]).map_batches(
-        batch, batch_format="pyarrow", batch_size=128
-    )
-
-
-class FrameSampleActor:
-    """Actor-pool stage: decode video header → sample every ``step``-th
-    frame → per-sampled-frame mean intensity. Real deployments swap the
-    RCVD parse for a container demuxer; the sampling/batching shape is the
-    part that matters at scale."""
-
-    def __init__(self, step: int = 2):
-        self.step = step
-        self._init_token = hash64_int("frame-actor-init")
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        out = {"media_id": [], "n_frames": [], "n_sampled": [],
-               "mean_intensity": []}
-        for mid, p in zip(t["media_id"].to_pylist(), t["payload"].to_pylist()):
-            if p[:4] != _VMAGIC:
-                raise NotImplementedError("no video codec for this payload")
-            nf, w, h = struct.unpack("<HHH", p[4:10])
-            frames = np.frombuffer(
-                p[10 : 10 + nf * w * h * 3], dtype=np.uint8
-            ).reshape(nf, h, w, 3)
-            sampled = frames[:: self.step]
-            out["media_id"].append(mid)
-            out["n_frames"].append(nf)
-            out["n_sampled"].append(len(sampled))
-            out["mean_intensity"].append(float(sampled.mean()))
-        return pa.table(
-            {
-                "media_id": pa.array(out["media_id"], pa.int64()),
-                "n_frames": pa.array(out["n_frames"], pa.int64()),
-                "n_sampled": pa.array(out["n_sampled"], pa.int64()),
-                "mean_intensity": pa.array(out["mean_intensity"], pa.float64()),
-            }
-        )
-
-
-class AudioWindowActor:
-    """Actor-pool stage: decode PCM → frame/hop windowing → per-window RMS
-    reduced to (n_windows, mean_rms)."""
-
-    def __init__(self, frame: int = 1024, hop: int = 512):
-        self.frame, self.hop = frame, hop
-        self._init_token = hash64_int("audio-actor-init")
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        out = {"media_id": [], "sample_rate": [], "n_samples": [],
-               "n_windows": [], "mean_rms": []}
-        for mid, p in zip(t["media_id"].to_pylist(), t["payload"].to_pylist()):
-            if p[:4] != _AMAGIC:
-                raise NotImplementedError("no audio codec for this payload")
-            sr, n = struct.unpack("<II", p[4:12])
-            pcm = np.frombuffer(p[12 : 12 + 2 * n], dtype=np.int16)
-            nw = max(0, (n - self.frame) // self.hop + 1)
-            idx = (np.arange(nw)[:, None] * self.hop
-                   + np.arange(self.frame)[None, :])
-            wins = pcm[idx].astype(np.float64)
-            rms = np.sqrt((wins ** 2).mean(axis=1))
-            out["media_id"].append(mid)
-            out["sample_rate"].append(sr)
-            out["n_samples"].append(n)
-            out["n_windows"].append(nw)
-            out["mean_rms"].append(float(rms.mean()) if nw else 0.0)
-        return pa.table(
-            {
-                "media_id": pa.array(out["media_id"], pa.int64()),
-                "sample_rate": pa.array(out["sample_rate"], pa.int64()),
-                "n_samples": pa.array(out["n_samples"], pa.int64()),
-                "n_windows": pa.array(out["n_windows"], pa.int64()),
-                "mean_rms": pa.array(out["mean_rms"], pa.float64()),
-            }
-        )
-
-
-def _pool_size(concurrency: int | None) -> int:
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    if concurrency is None:
-        return max(1, min(8, cpus - 1))
-    return max(1, min(concurrency, max(1, cpus - 1)))
-
-
-def video_frame_stats(sf_dir: str, step: int = 2, concurrency: int | None = None):
-    return video_table(sf_dir).map_batches(
-        FrameSampleActor, fn_constructor_kwargs=dict(step=step),
-        batch_format="pyarrow", batch_size=128,
-        concurrency=_pool_size(concurrency), num_cpus=0.5,
-    )
-
-
-def audio_window_stats(sf_dir: str, concurrency: int | None = None):
-    return audio_table(sf_dir).map_batches(
-        AudioWindowActor, batch_format="pyarrow", batch_size=128,
-        concurrency=_pool_size(concurrency), num_cpus=0.5,
-    )
-
-
-def video_sample_summary(sf_dir: str, step: int = 2) -> pa.Table:
-    """SQL-oracle-able structural aggregate of the video lane: the header
-    fields are md5-derived, so DuckDB recomputes n_frames / n_sampled from
-    doc_id alone."""
-    import pandas as pd
-
-    def partial(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "n": pa.array([t.num_rows], pa.int64()),
-                "sum_frames": pa.array(
-                    [int(pa.compute.sum(t["n_frames"]).as_py() or 0)], pa.int64()
-                ),
-                "sum_sampled": pa.array(
-                    [int(pa.compute.sum(t["n_sampled"]).as_py() or 0)], pa.int64()
-                ),
-            }
-        )
-
-    parts = (video_frame_stats(sf_dir, step=step)
-             .map_batches(partial, batch_format="pyarrow").to_pandas())
-    return pa.table(
-        {
-            "n_videos": pa.array([int(parts["n"].sum())], pa.int64()),
-            "sum_frames": pa.array([int(parts["sum_frames"].sum())], pa.int64()),
-            "sum_sampled": pa.array([int(parts["sum_sampled"].sum())], pa.int64()),
-        }
-    )
-
-
-def video_sample_summary_sql(step: int = 2) -> str:
-    return f"""
-    WITH v AS (SELECT
-        4 + (md5_number_lower('video:' || CAST(doc_id AS VARCHAR)) % 12) AS nf
-      FROM documents)
-    SELECT CAST(count(*) AS BIGINT) AS n_videos,
-           CAST(sum(nf) AS BIGINT) AS sum_frames,
-           CAST(sum((nf + {step} - 1) // {step}) AS BIGINT) AS sum_sampled
-    FROM v
-    """
-
-
-def audio_window_summary(sf_dir: str) -> pa.Table:
-    """SQL-oracle-able structural aggregate of the audio lane."""
-    def partial(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "n": pa.array([t.num_rows], pa.int64()),
-                "sum_samples": pa.array(
-                    [int(pa.compute.sum(t["n_samples"]).as_py() or 0)], pa.int64()
-                ),
-                "sum_windows": pa.array(
-                    [int(pa.compute.sum(t["n_windows"]).as_py() or 0)], pa.int64()
-                ),
-            }
-        )
-
-    parts = (audio_window_stats(sf_dir)
-             .map_batches(partial, batch_format="pyarrow").to_pandas())
-    return pa.table(
-        {
-            "n_clips": pa.array([int(parts["n"].sum())], pa.int64()),
-            "sum_samples": pa.array([int(parts["sum_samples"].sum())], pa.int64()),
-            "sum_windows": pa.array([int(parts["sum_windows"].sum())], pa.int64()),
-        }
-    )
-
-
-def audio_window_summary_sql(frame: int = 1024, hop: int = 512) -> str:
-    return f"""
-    WITH a AS (SELECT
-        4000 + (md5_number_lower('audio:' || CAST(doc_id AS VARCHAR)) % 4000) AS n
-      FROM documents)
-    SELECT CAST(count(*) AS BIGINT) AS n_clips,
-           CAST(sum(n) AS BIGINT) AS sum_samples,
-           CAST(sum(greatest(0, (n - {frame}) // {hop} + 1)) AS BIGINT) AS sum_windows
-    FROM a
-    """

@@ -13,11 +13,12 @@ the document-level lanes (dedup/quality/tokenize):
   page with BeautifulSoup and builds the link graph in Neo4j
   (crawler.rs:18-51, url_utils.rs); this operator is the corpus-wide
   aggregate view of those same edges, keyed by the raw href string.
-- **main-text extraction (boilerplate strip)** — line-based content
-  filter in the jusText/trafilatura family: navigation crumbs, bare link
-  labels and title lines carry < 3 whitespace tokens and are dropped;
-  prose lines survive. Deterministic rule, so the DuckDB oracle
-  recomputes it exactly (``list_filter`` lambda over the split lines).
+- **curated web corpus** — corpus-wide paragraph dedup, then a
+  line-based content filter in the jusText/trafilatura family: navigation
+  crumbs, bare link labels and title lines carry < 3 whitespace tokens
+  and are dropped; prose lines survive. Deterministic rules, so the
+  DuckDB oracle recomputes them exactly (``list_filter`` lambda over the
+  split lines).
 
 100 TB shape:
 - extraction is a stateless per-page ``map_batches`` (zero shuffle,
@@ -208,48 +209,8 @@ def anchor_text_index_sql() -> str:
 
 
 # ---------------------------------------------------------------------------
-# main-text extraction (boilerplate strip)
+# curated web corpus: paragraph dedup + boilerplate strip
 # ---------------------------------------------------------------------------
-
-def _main_text_batch(t: pa.Table) -> pa.Table:
-    """Line-based boilerplate strip over the extracted text column —
-    entirely polars list kernels, no Python per row."""
-    import polars as pl
-
-    df = pl.from_arrow(pa.table({"url": t["url"], "text": t["text"]}))
-    is_content = pl.element().str.count_matches("[^ ]+") >= MIN_CONTENT_TOKENS
-    out = (
-        df.with_columns(pl.col("text").str.split("\n").alias("lines"))
-        .with_columns(
-            pl.col("lines").list.len().cast(pl.Int64).alias("n_lines"),
-            pl.col("lines").list.eval(pl.element().filter(is_content))
-            .alias("kept"),
-        )
-        .with_columns(
-            pl.col("kept").list.len().cast(pl.Int64).alias("n_kept"),
-            pl.col("kept").list.join("\n").alias("main_text"),
-        )
-        .with_columns(
-            pl.col("main_text").str.len_chars().cast(pl.Int64)
-            .alias("main_chars"))
-        .select("url", "n_lines", "n_kept", "main_chars", "main_text")
-    )
-    return out.to_arrow().cast(pa.schema([
-        ("url", pa.string()), ("n_lines", pa.int64()),
-        ("n_kept", pa.int64()), ("main_chars", pa.int64()),
-        ("main_text", pa.string())]))
-
-
-def main_text_extract(sf_dir: str) -> pa.Table:
-    """Boilerplate-stripped main text per page over the demo corpus:
-    (url, n_lines, n_kept, main_chars, main_text). Stateless per-page
-    map_batches — zero shuffle at any scale."""
-    import ray
-
-    ds = ray.data.read_parquet(_pages_path(), columns=["url", "text"])
-    out = ds.map_batches(_main_text_batch, batch_format="pyarrow")
-    return pa.Table.from_pandas(out.to_pandas(), preserve_index=False)
-
 
 def _line_pairs_batch(t: pa.Table) -> pa.Table:
     """(url, text) batch → one row per distinct (line, url) pair, keyed by
@@ -284,238 +245,9 @@ def _hot_lines(pages) -> "object":
     return np.sort(hot.to_pandas()["lh"].to_numpy().astype(np.uint64))
 
 
-def paragraph_dedup(sf_dir: str) -> pa.Table:
-    """CCNet-style corpus-wide paragraph dedup over the demo pages: every
-    line occurring in more than PARA_DF_CAP distinct pages is boilerplate
-    and is dropped from EVERY page (including its first occurrence);
-    remaining lines keep their order. Output per page: (url, n_paras,
-    n_kept, clean_text).
-
-    Shape: hot-set detection is per-batch distinct pairs → one bounded
-    hash-partition count shuffle → a tiny driver-side filter result that
-    broadcasts; the apply pass is stateless map_batches (zero shuffle).
-    The oracle groups by the SAME md5_number_lower key, so semantics are
-    bit-aligned even in the (never-expected) collision case."""
-    import numpy as np
-    import polars as pl
-    import ray
-
-    from raycrawl.kernels import md5_u64_arrow
-
-    path = _pages_path()
-    hot = _hot_lines(ray.data.read_parquet(path, columns=["url", "text"]))
-
-    def apply_batch(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(pa.table({"url": t["url"], "text": t["text"]}))
-        ex = (df.with_columns(pl.col("text").str.split("\n").alias("line"))
-              .select("url", "line")
-              .with_row_index("rid")
-              .explode("line"))
-        lh = md5_u64_arrow(ex.get_column("line").to_arrow().cast(pa.string()))
-        if len(hot):
-            idx = np.minimum(np.searchsorted(hot, lh), len(hot) - 1)
-            is_hot = hot[idx] == lh
-        else:
-            is_hot = np.zeros(len(lh), bool)
-        kept = (ex.with_columns(pl.Series("hot", is_hot))
-                .filter(~pl.col("hot"))
-                .group_by("url", maintain_order=True)
-                .agg(pl.col("line").count().cast(pl.Int64).alias("n_kept"),
-                     pl.col("line").str.join("\n").alias("clean_text")))
-        out = (df.with_columns(
-                   pl.col("text").str.split("\n").list.len().cast(pl.Int64)
-                   .alias("n_paras"))
-               .join(kept, on="url", how="left")
-               .with_columns(
-                   pl.col("n_kept").fill_null(0),
-                   pl.col("clean_text").fill_null(""))
-               .select("url", "n_paras", "n_kept", "clean_text"))
-        return out.to_arrow().cast(pa.schema([
-            ("url", pa.string()), ("n_paras", pa.int64()),
-            ("n_kept", pa.int64()), ("clean_text", pa.string())]))
-
-    out = (ray.data.read_parquet(path, columns=["url", "text"])
-           .map_batches(apply_batch, batch_format="pyarrow"))
-    return pa.Table.from_pandas(out.to_pandas(), preserve_index=False)
-
-
-def paragraph_dedup_sql() -> str:
-    p = _pages_path()
-    return f"""
-    WITH pg AS (SELECT url, string_split(text, chr(10)) AS lines
-                FROM read_parquet('{p}')),
-    e AS (SELECT url, unnest(lines) AS line,
-                 generate_subscripts(lines, 1) AS pos
-          FROM pg),
-    df AS (SELECT md5_number_lower(line) AS lh, count(DISTINCT url) AS d
-           FROM e GROUP BY 1),
-    kept AS (SELECT e.url, e.line, e.pos
-             FROM e JOIN df ON md5_number_lower(e.line) = df.lh
-             WHERE df.d <= {PARA_DF_CAP}),
-    agg AS (SELECT url, count(*) AS n_kept,
-                   string_agg(line, chr(10) ORDER BY pos) AS clean_text
-            FROM kept GROUP BY url)
-    SELECT pg.url,
-           CAST(len(pg.lines) AS BIGINT) AS n_paras,
-           CAST(coalesce(agg.n_kept, 0) AS BIGINT) AS n_kept,
-           coalesce(agg.clean_text, '') AS clean_text
-    FROM pg LEFT JOIN agg USING (url)
-    """
-
-
 # composed pages-lane pipeline: a page survives with at least this many
 # whitespace tokens after both cleaning stages
 MIN_PAGE_TOKENS = 50
-
-
-def _anchor_edges_batch(t: pa.Table) -> pa.Table:
-    """(url, html) batch → one (crawl_id='corpus', src, dst) edge row per
-    anchor OCCURRENCE (parallel links count toward outdeg, same as the
-    reference's per-href edge MERGE counts distinct parents per link)."""
-    import polars as pl
-
-    df = pl.from_arrow(
-        pa.table({"src": t["url"], "h": t["html"].cast(pa.string())}))
-    ex = (df.with_columns(
-            pl.col("h").str.extract_all(ANCHOR_PAT).alias("m"))
-          .select("src", "m").explode("m").drop_nulls("m")
-          .with_columns(pl.col("m").str.extract(ANCHOR_PAT, 1).alias("dst"))
-          .select("src", "dst"))
-    out = ex.to_arrow()
-    n = out.num_rows
-    return pa.table({
-        "crawl_id": pa.array(["corpus"] * n, pa.string()),
-        "src": out["src"].combine_chunks().cast(pa.string()),
-        "dst": out["dst"].combine_chunks().cast(pa.string()),
-    })
-
-
-def corpus_pagerank(sf_dir: str, iters: int = 6) -> pa.Table:
-    """PageRank over the corpus's OWN hyperlink graph — the webtext lane's
-    edges (anchor extraction, `_anchor_edges_batch`) fed into the graph
-    lane's integer-exact engine (`graph.crawl_pagerank`): link-popularity
-    prior per target URL, the composition a web-corpus curation pipeline
-    uses to weight pages. Same size gate as the crawl's PageRank (driver
-    loop under 100k edges, partition-vectorized Pregel above)."""
-    import ray
-
-    from raycrawl.graph import crawl_pagerank
-
-    edges = (ray.data.read_parquet(_pages_path(), columns=["url", "html"])
-             .map_batches(_anchor_edges_batch, batch_format="pyarrow"))
-    return crawl_pagerank(edges, "corpus", iters=iters)
-
-
-def _link_target_partial(t: pa.Table) -> pa.Table:
-    """(url, html) batch → per-batch (name, href, n) partial counts: every
-    harvested href normalized by the crawl's OWN canonicalization kernel
-    (`kernels.normalize_urls_arrow` — uppercase, scheme strip, WWW. strip;
-    reference shared/src/url_normalize.rs semantics), combined in-batch."""
-    import polars as pl
-
-    from raycrawl.kernels import normalize_urls_arrow
-
-    df = pl.from_arrow(
-        pa.table({"h": t["html"].cast(pa.string())}))
-    hrefs = (df.with_columns(
-                pl.col("h").str.extract_all(ANCHOR_PAT).alias("m"))
-             .select("m").explode("m").drop_nulls("m")
-             .with_columns(pl.col("m").str.extract(ANCHOR_PAT, 1)
-                           .alias("href"))
-             .get_column("href").to_arrow().cast(pa.string()))
-    if len(hrefs) == 0:
-        return pa.schema([("name", pa.string()), ("href", pa.string()),
-                          ("n", pa.int64())]).empty_table()
-    name, _proto = normalize_urls_arrow(hrefs.combine_chunks()
-                                        if isinstance(hrefs, pa.ChunkedArray)
-                                        else hrefs)
-    out = (pl.from_arrow(pa.table({"name": name, "href": hrefs}))
-           .group_by("name", "href").len(name="n")
-           .with_columns(pl.col("n").cast(pl.Int64)))
-    return out.to_arrow().cast(pa.schema([
-        ("name", pa.string()), ("href", pa.string()), ("n", pa.int64())]))
-
-
-def link_target_resolution(sf_dir: str) -> pa.Table:
-    """Canonical link-target resolution over the demo pages: every
-    harvested href collapses to its crawl-normalized name (the SAME
-    canonicalization the frontier dedups on), and each canonical target
-    reports its in-link volume, how many distinct raw variant forms point
-    at it (http/https/WWW./case variants), and the lexicographically
-    smallest raw form as representative. This is the crawler's URL-seen
-    semantics surfaced as a corpus operator — the URL-level dedup step of
-    a web-corpus pipeline.
-
-    Shape: stateless extraction+normalize partials (in-batch combined) →
-    ONE hash(name)%P exchange → vectorized per-partition polars finalize."""
-    import numpy as np
-    import polars as pl
-    import ray
-
-    from raycrawl.kernels import hash128
-
-    n_parts = (max(8, int(ray.cluster_resources().get("CPU", 8)))
-               if ray.is_initialized() else 8)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        hi, _lo = hash128(t["name"].combine_chunks().cast(pa.string()))
-        return t.append_column(
-            "part", pa.array((hi % np.uint64(n_parts)).astype(np.int32),
-                             pa.int32()))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        out = (pl.from_arrow(t.select(["name", "href", "n"]))
-               .group_by("name")
-               .agg(pl.col("n").sum().alias("n_refs"),
-                    pl.col("href").n_unique().cast(pl.Int64)
-                    .alias("n_variant_forms"),
-                    pl.col("href").min().alias("rep_href")))
-        return out.to_arrow().cast(pa.schema([
-            ("name", pa.string()), ("n_refs", pa.int64()),
-            ("n_variant_forms", pa.int64()), ("rep_href", pa.string())]))
-
-    out = (ray.data.read_parquet(_pages_path(), columns=["url", "html"])
-           .map_batches(_link_target_partial, batch_format="pyarrow")
-           .map_batches(add_part, batch_format="pyarrow")
-           .groupby("part").map_groups(finalize, batch_format="pyarrow"))
-    return pa.Table.from_pandas(out.to_pandas(), preserve_index=False)
-
-
-def link_target_resolution_sql() -> str:
-    p = _pages_path()
-    return f"""
-    WITH pg AS (SELECT decode(html) AS h FROM read_parquet('{p}')),
-    t AS (SELECT unnest(regexp_extract_all(h, '{ANCHOR_PAT}', 1)) AS href
-          FROM pg),
-    u AS (SELECT href, upper(href) AS up FROM t),
-    r AS (SELECT href,
-                 CASE WHEN up LIKE 'HTTPS://%' THEN substr(up, 9)
-                      WHEN up LIKE 'HTTP://%' THEN substr(up, 8)
-                      ELSE up END AS rest
-          FROM u),
-    q AS (SELECT href,
-                 CASE WHEN rest LIKE 'WWW.%' THEN substr(rest, 5)
-                      ELSE rest END AS name
-          FROM r)
-    SELECT name,
-           CAST(count(*) AS BIGINT) AS n_refs,
-           CAST(count(DISTINCT href) AS BIGINT) AS n_variant_forms,
-           min(href) AS rep_href
-    FROM q GROUP BY name
-    """
-
-
-def corpus_pagerank_sql(iters: int = 6) -> str:
-    from raycrawl.graph import crawl_pagerank_sql
-
-    p = _pages_path()
-    edges_expr = f"""(
-      SELECT 'corpus' AS crawl_id, src, href AS dst FROM (
-        SELECT url AS src,
-               unnest(regexp_extract_all(decode(html), '{ANCHOR_PAT}', 1))
-                 AS href
-        FROM read_parquet('{p}')))"""
-    return crawl_pagerank_sql(edges_expr, "corpus", iters=iters)
 
 
 def web_corpus_curated(sf_dir: str) -> pa.Table:
@@ -613,22 +345,3 @@ def web_corpus_curated_sql() -> str:
     """
 
 
-def main_text_extract_sql() -> str:
-    p = _pages_path()
-    return f"""
-    WITH pg AS (SELECT url, string_split(text, chr(10)) AS lines
-                FROM read_parquet('{p}')),
-    f AS (SELECT url, lines,
-                 list_filter(lines,
-                   l -> len(regexp_extract_all(l, '[^ ]+'))
-                        >= {MIN_CONTENT_TOKENS}) AS kept
-          FROM pg)
-    SELECT url,
-           CAST(len(lines) AS BIGINT) AS n_lines,
-           CAST(len(kept) AS BIGINT) AS n_kept,
-           CAST(length(coalesce(list_aggregate(kept, 'string_agg', chr(10)),
-                                '')) AS BIGINT) AS main_chars,
-           coalesce(list_aggregate(kept, 'string_agg', chr(10)), '')
-             AS main_text
-    FROM f
-    """

@@ -586,3 +586,89 @@ def test_md5_gram_hashes_arrow_fast_path_bit_identical():
             pa.array(texts, pa.string()).slice(3, 20), k)
         h1s, o1s = md5_gram_hashes(texts[3:23], k)
         assert np.array_equal(h3, h1s) and np.array_equal(o3, o1s)
+
+
+# ---------------------------------------------------------------------------
+# the crawl path needs no pandas: enrichment and ingest near-dup use the
+# crawl-owned MinHash and text constants here, not the documents lane
+# ---------------------------------------------------------------------------
+
+_NO_PANDAS_CHILD = r'''
+import json, sys
+
+class _NoPandas:
+    def find_spec(self, name, path=None, target=None):
+        if name == "pandas" or name.startswith("pandas."):
+            raise ModuleNotFoundError(name)
+
+sys.meta_path.insert(0, _NoPandas())
+import numpy as np
+import pyarrow as pa
+
+import raycrawl.crawl, raycrawl.fetch, raycrawl.seen, raycrawl.ingest_dedup
+from raycrawl import frontier, kernels
+
+htmls, texts = json.loads(sys.argv[1])
+feats = frontier.enrich_pages(htmls)
+sh = kernels.shingle_list_batch(pa.array([1, 2], pa.int64()), texts)
+_, sig8 = kernels.minhash_bands_batch(sh, return_sig=True)
+col = sh["shingles"].combine_chunks()
+vals = col.values.to_numpy().astype(np.uint64)
+offs = col.offsets.to_numpy().astype(np.int64)
+j = kernels.segmented_jaccard(vals[offs[0]:offs[1]], offs[:2] - offs[0],
+                              vals[offs[1]:offs[2]], offs[1:] - offs[1])
+print(json.dumps({
+    "feats": {k: [None if x is None else (x if isinstance(x, str) else
+                                          float(x) if k == "quality" else int(x))
+                  for x in v] for k, v in feats.items()},
+    "shingles": [[str(x) for x in s] for s in sh["shingles"].to_pylist()],
+    "sig8": sig8.tolist(),
+    "jaccard": float(j[0]),
+    "modules": sorted(m for m in sys.modules
+                      if m == "pandas" or m.startswith("raycrawl.")),
+}))
+'''
+
+
+def test_crawl_path_runs_without_pandas():
+    """A fresh interpreter that refuses ``import pandas`` imports the
+    crawl's worker-side modules (crawl, frontier, fetch, seen,
+    ingest_dedup) and runs ``enrich_pages`` and the shingle, band and
+    segmented-Jaccard kernels; the results equal the scalar twins here,
+    and neither pandas nor the documents-lane modules that need it
+    (dedup, textops) are loaded. The refusal matters: pyarrow imports
+    pandas on its own whenever it is installed, so without it the check
+    could not see an import the crawl path makes."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    from raycrawl.dedup import jaccard, minhash_signature, shingle_set
+    from raycrawl.frontier import enrich_page
+
+    htmls = ["<p>the quick brown fox and the lazy dog</p>",
+             "<b>der und sch</b> ein kleiner hund"]
+    texts = ["the quick brown fox and the lazy dog",
+             "the quick brown fox and the sleepy dog"]
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    r = subprocess.run(
+        [sys.executable, "-c", _NO_PANDAS_CHILD, json.dumps([htmls, texts])],
+        capture_output=True, text=True, timeout=120, cwd=repo,
+        env={**os.environ, "PYTHONPATH": repo})
+    assert r.returncode == 0, r.stderr[-2000:]
+    out = json.loads(r.stdout)
+
+    assert "pandas" not in out["modules"]
+    assert not {"raycrawl.dedup", "raycrawl.textops"} & set(out["modules"])
+    for i, h in enumerate(htmls):
+        want = enrich_page(h)
+        got = {k: v[i] for k, v in out["feats"].items()}
+        assert got == want
+    sets = [shingle_set(t) for t in texts]
+    assert [[int(x) for x in s] for s in out["shingles"]] == \
+        [s.tolist() for s in sets]
+    assert out["sig8"] == [(minhash_signature(s) & np.uint64(0xFF)).tolist()
+                           for s in sets]
+    assert out["jaccard"] == jaccard(*sets)
+    assert 0 < out["jaccard"] < 1

@@ -64,43 +64,3 @@ def test_media_summary_no_deadlock_on_tiny_cluster():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, timeout=240)
     assert "OK2CPU" in r.stdout, r.stderr[-2000:]
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_video_frame_sampling_semantics():
-    """Every video decodes; sampled count == ceil(n_frames/step); the mean
-    intensity matches a direct recomputation for a spot sample."""
-    import numpy as np
-
-    from raycrawl.multimodal import synth_video, video_frame_stats
-
-    t = video_frame_stats(SF, step=2).to_pandas()
-    assert len(t) == 500
-    assert (t["n_sampled"] == (t["n_frames"] + 1) // 2).all()
-    for mid in t["media_id"].head(5):
-        payload, nf, w, h = synth_video(int(mid))
-        frames = np.frombuffer(payload[10:], dtype=np.uint8).reshape(nf, h, w, 3)
-        want = float(frames[::2].mean())
-        got = float(t.loc[t["media_id"] == mid, "mean_intensity"].iloc[0])
-        assert abs(got - want) < 1e-9
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_audio_windowing_semantics():
-    """Window count matches the frame/hop formula; RMS matches a direct
-    recomputation for a spot sample."""
-    import numpy as np
-
-    from raycrawl.multimodal import audio_window_stats, synth_audio
-
-    t = audio_window_stats(SF).to_pandas()
-    assert len(t) == 500
-    assert (t["n_windows"] == (t["n_samples"] - 1024) // 512 + 1).all()
-    for mid in t["media_id"].head(3):
-        payload, sr, n = synth_audio(int(mid))
-        pcm = np.frombuffer(payload[12:], dtype=np.int16)
-        nw = (n - 1024) // 512 + 1
-        idx = np.arange(nw)[:, None] * 512 + np.arange(1024)[None, :]
-        want = float(np.sqrt((pcm[idx].astype(np.float64) ** 2).mean(axis=1)).mean())
-        got = float(t.loc[t["media_id"] == mid, "mean_rms"].iloc[0])
-        assert abs(got - want) < 1e-9
