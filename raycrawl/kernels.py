@@ -858,7 +858,8 @@ def knuth_key32(ids: np.ndarray, seed: int = 0) -> np.ndarray:
     with each other and with their DuckDB twins (the SQL spelling lives
     next to each oracle), so every caller goes through this helper —
     edit the formula in one place or not at all. seed=0 degenerates to
-    the unsalted form. Exact (and oracle-equal) for every doc_id < 2^63."""
+    the unsalted ``documents_hash_sample`` form. Exact (and oracle-equal)
+    for every doc_id < 2^63."""
     mod32 = np.uint64(1 << 32)
     salt = np.uint64((seed * 2654435761) % (1 << 32))
     v = ids.astype(np.uint64, copy=False)

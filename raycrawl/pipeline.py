@@ -57,7 +57,7 @@ def _clean_keyed_dataset(sf_dir: str, threshold: float, df_cap: int,
     broadcasts like the doc-level one, bounded by duplicated-span
     volume). Two more opt-in gates, both broadcast-shaped so the fused
     pass stays zero-shuffle: ``mixture_bp`` applies the per-source
-    Bernoulli of ``relational.mixture_keep_mask`` (reads the
+    Bernoulli of ``relational.documents_mixture_sample`` (reads the
     ``source`` column; its draw is salted by ``mixture_seed``,
     independent of the shuffle's), and ``lm_min_known_ppm`` keeps only
     docs whose known-bigram ratio against the ``textops.lm_bigram_model``

@@ -6,9 +6,9 @@ count, min, max (as strings for a uniform schema) and the batch's
 distinct-value set. Partials merge on the driver: counts sum, min/max
 fold, distinct sets union. Exact — and therefore only offered for
 columns whose distinct cardinality is bounded (categorical/metadata
-columns); an unbounded-cardinality column would need a mergeable
-sketch (e.g. HyperLogLog), which this module deliberately does not mix
-into the oracled output.
+columns); the unbounded-cardinality path at 100 TB is the HLL sketch in
+sketches.py, which this module deliberately does not mix into the
+oracled output.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Window-function and multi-level-aggregate operators over the events
-table — the LAG/GROUPING SETS family a training-data pipeline uses
+table — the LAG/GROUPING SETS/PIVOT family a training-data pipeline uses
 for behavioral feature extraction, expressed Ray-Data-first.
 
 Physical plans (ray_guide):
@@ -14,6 +14,10 @@ Physical plans (ray_guide):
   zero-shuffle partial-agg pass computes it; every coarser level is a
   driver-side re-sum of those ≤35 rows. At 100 TB nothing changes — the
   rollup levels always derive from the finest bounded grain.
+- ``events_pivot_by_type`` (PIVOT): conditional aggregation — per-batch
+  one-hot partial sums per weekday (bounded 7-row output per batch),
+  driver combine. Zero shuffle; column set is the fixed event-type
+  vocabulary, so the schema is stable.
 
 Float determinism: value sums accumulate in int64 cents (`_iunits`),
 mirrored exactly in the oracle SQL (relational.py module docstring).
@@ -30,6 +34,8 @@ from raycrawl.kernels import table_from_pandas
 import pyarrow.compute as pc
 
 from raycrawl.relational import _iunits, _t
+
+EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
 
 
 # ---------------------------------------------------------------------------
@@ -162,4 +168,127 @@ def events_type_rollup_sql() -> str:
           FROM events)
     GROUP BY GROUPING SETS ((event_type, dow), (event_type), ())
     ORDER BY event_type, dow
+    """
+
+
+# ---------------------------------------------------------------------------
+# PIVOT: weekday rows × event-type columns (conditional aggregation)
+# ---------------------------------------------------------------------------
+
+def events_pivot_by_type(sf_dir: str) -> pa.Table:
+    """PIVOT events on the fixed event-type vocabulary: one row per ISO
+    weekday, one value-sum column per type. Per-batch one-hot partial sums
+    (np.bincount over dow masked per type — 7×5 ints per batch), driver
+    combine. Zero shuffle, stable schema."""
+
+    def partial(t: pa.Table) -> pa.Table:
+        dow = pc.day_of_week(t["ts"]).to_numpy().astype(np.int64)
+        et = t["event_type"].to_numpy(zero_copy_only=False)
+        vi = _iunits(t["value"].to_numpy(), 100.0).to_numpy()
+        cols: dict = {"dow": pa.array(np.arange(7, dtype=np.int32))}
+        for name in EVENT_TYPES:
+            m = et == name
+            # int64 accumulation via np.add.at — bincount weights sum in
+            # float64, exact only below 2^53 per batch (ADVICE r2)
+            acc = np.zeros(7, dtype=np.int64)
+            np.add.at(acc, dow[m], vi[m])
+            cols[f"{name}_i"] = pa.array(acc)
+            cols[f"{name}_n"] = pa.array(
+                np.bincount(dow[m], minlength=7).astype(np.int64))
+        return pa.table(cols)
+
+    parts = (
+        _t(sf_dir, "events", ["event_type", "ts", "value"])
+        .map_batches(partial, batch_format="pyarrow")
+        .to_pandas()
+    )
+    g = parts.groupby("dow", as_index=False).sum().sort_values("dow")
+    out = pd.DataFrame({"dow": g["dow"].astype("int32")})
+    for name in EVENT_TYPES:
+        out[f"sum_{name}"] = g[f"{name}_i"].to_numpy() / 100.0
+        out[f"n_{name}"] = g[f"{name}_n"].astype("int64")
+    return table_from_pandas(out.reset_index(drop=True))
+
+
+def events_pivot_by_type_sql() -> str:
+    cols = ",\n           ".join(
+        f"CAST(sum(CASE WHEN event_type = '{n}' THEN vi ELSE 0 END) AS DOUBLE)"
+        f" / 100.0 AS sum_{n},\n           "
+        f"CAST(count(CASE WHEN event_type = '{n}' THEN 1 END) AS BIGINT)"
+        f" AS n_{n}"
+        for n in EVENT_TYPES
+    )
+    return f"""
+    SELECT CAST(isodow(ts) - 1 AS INTEGER) AS dow,
+           {cols}
+    FROM (SELECT event_type, ts,
+                 CAST(floor(value * 100.0 + 0.5) AS BIGINT) AS vi FROM events)
+    GROUP BY 1 ORDER BY 1
+    """
+
+
+# ---------------------------------------------------------------------------
+# cumulative window: running totals over the daily rollup
+# ---------------------------------------------------------------------------
+
+def events_daily_cumulative(sf_dir: str) -> pa.Table:
+    """Running (cumulative) daily totals per event_type — the unbounded-
+    preceding window-frame flavor (`SUM OVER (ORDER BY day)`), completing
+    the window family next to the bounded moving average. Same plan shape
+    as events_hourly_moving_avg: the distributed part is the bounded-grain
+    daily rollup (partial agg, zero shuffle); the cumulative pass runs over
+    days × types rows, so it is driver-side by design at any data scale.
+    Sums stay int64 cents until the single final division."""
+
+    def partial(t: pa.Table) -> pa.Table:
+        day = pc.floor_temporal(t["ts"], unit="day")
+        t2 = pa.table({
+            "event_type": t["event_type"],
+            "day": day,
+            "n_events": pa.array(np.ones(t.num_rows, dtype=np.int64)),
+            "val_i": _iunits(t["value"].to_numpy(), 100.0),
+        })
+        return t2.group_by(["event_type", "day"]).aggregate(
+            [("n_events", "sum"), ("val_i", "sum")])
+
+    parts = (
+        _t(sf_dir, "events", ["ts", "event_type", "value"])
+        .map_batches(partial, batch_format="pyarrow")
+        .to_pandas()
+    )
+    g = (parts.groupby(["event_type", "day"], as_index=False).sum()
+         .sort_values(["event_type", "day"]).reset_index(drop=True))
+    vi = g["val_i_sum"].to_numpy()
+    ne = g["n_events_sum"].to_numpy()
+    cum_vi = np.empty(len(g), dtype=np.int64)
+    cum_ne = np.empty(len(g), dtype=np.int64)
+    for _, idx in g.groupby("event_type").indices.items():
+        cum_vi[idx] = vi[idx].cumsum()
+        cum_ne[idx] = ne[idx].cumsum()
+    out = pd.DataFrame({
+        "event_type": g["event_type"],
+        "day": g["day"],
+        "n_events": ne.astype(np.int64),
+        "sum_value": vi / 100.0,
+        "cum_events": cum_ne,
+        "cum_value": cum_vi / 100.0,
+    })
+    return table_from_pandas(out)
+
+
+def events_daily_cumulative_sql() -> str:
+    return """
+    WITH d AS (
+      SELECT event_type, date_trunc('day', ts) AS day,
+             CAST(count(*) AS BIGINT) AS n_events,
+             sum(CAST(floor(value * 100.0 + 0.5) AS BIGINT)) AS val_i
+      FROM events GROUP BY 1, 2)
+    SELECT event_type, day, n_events,
+           CAST(val_i AS DOUBLE) / 100.0 AS sum_value,
+           CAST(sum(n_events) OVER w AS BIGINT) AS cum_events,
+           CAST(sum(val_i) OVER w AS DOUBLE) / 100.0 AS cum_value
+    FROM d
+    WINDOW w AS (PARTITION BY event_type ORDER BY day
+                 ROWS UNBOUNDED PRECEDING)
+    ORDER BY event_type, day
     """

@@ -1,7 +1,8 @@
 """Driver-contract wiring invariants: queries() holds EXACTLY 50 entries
 (the driver's sweep records the first 50 dict entries — r2/r3 evidence),
 every one of them is oracled, the flagship LLM lane leads the dict, and
-the demoted registry is disjoint, callable, and fully oracled."""
+the demoted registry is disjoint, callable, and oracled except for the
+documented approximate/RNG set."""
 
 
 def _mod():
@@ -13,6 +14,15 @@ def _mod():
     spec.loader.exec_module(m)
     return m
 
+
+ROWS_ONLY = {
+    # approximate / RNG-body operators, each pytest-pinned to an exact twin
+    "events_user_hll", "events_value_quantiles_sketch",
+    "events_user_heavy_hitters", "media_features",
+    # iterative data-dependent selection (not single-statement SQL);
+    # pytest-pinned to a reference implementation over oracled word counts
+    "bpe_learned_merges", "bpe_compression_by_lang",
+}
 
 SWEEP_BUDGET = 50
 
@@ -39,7 +49,7 @@ def test_demoted_registry_disjoint_and_rows_only_exact():
     m = _mod()
     qs, dq, do = m.queries(), m.demoted_queries(), m.demoted_oracle_sql()
     assert not set(qs) & set(dq)
-    # every demoted variant is oracled: no rows-only entries remain
-    assert set(dq) == set(do)
+    assert set(dq) - set(do) == ROWS_ONLY
+    assert set(do) <= set(dq)
     assert all(callable(v) for v in dq.values())
     assert all(isinstance(v, str) and v.strip() for v in do.values())

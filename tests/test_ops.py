@@ -184,14 +184,16 @@ def test_purchase_asof_click_semantics():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_grouped_topk_antijoin_match_duckdb():
-    """The grouped top-k and anti-join operators match DuckDB exactly
-    (values verbatim — no float arithmetic on either path)."""
+def test_grouped_topk_antijoin_sample_match_duckdb():
+    """The three window/anti-join/sampling operators match DuckDB exactly
+    (values verbatim — no float arithmetic on any of these paths)."""
     import duckdb
 
     from raycrawl.relational import (
         customers_without_urgent_orders,
         customers_without_urgent_orders_sql,
+        documents_hash_sample,
+        documents_hash_sample_sql,
         top_events_per_user,
         top_events_per_user_sql,
     )
@@ -204,6 +206,7 @@ def test_grouped_topk_antijoin_match_duckdb():
     for fn, sql in [
         (top_events_per_user, top_events_per_user_sql()),
         (customers_without_urgent_orders, customers_without_urgent_orders_sql()),
+        (documents_hash_sample, documents_hash_sample_sql()),
     ]:
         got = fn(SF).to_pandas()
         want = con.execute(sql).df()
@@ -432,6 +435,19 @@ def test_substring_dedup_sf_corpus_matches_oracle():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_broadcast_gate_join_fallback_equals_broadcast(monkeypatch):
+    """The size-gated broadcast and the Dataset.join fallback are the same
+    operator: forcing the gate shut (budget 0) must not change output."""
+    from raycrawl.relational import revenue_by_nation
+
+    a = revenue_by_nation(SF).to_pandas()
+    monkeypatch.setenv("RAYCRAWL_BROADCAST_MAX_BYTES", "0")
+    b = revenue_by_nation(SF).to_pandas()
+    assert a.columns.tolist() == b.columns.tolist()
+    assert a.values.tolist() == b.values.tolist()
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_crawl_pagerank_matches_integer_reference():
     """Distributed scatter/gather PageRank equals the single-process
     integer recurrence on the demo crawl graph; ranks separate hubs from
@@ -456,20 +472,6 @@ def test_crawl_pagerank_matches_integer_reference():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_broadcast_gate_fallback_anti_join(monkeypatch):
-    """Forcing the gate shut pins the Dataset.join fallback of the
-    anti-join (the one ``_broadcast_ok`` caller) output-equal to the
-    broadcast plan."""
-    from raycrawl.relational import customers_without_urgent_orders
-
-    a1 = customers_without_urgent_orders(SF).to_pandas()
-    monkeypatch.setenv("RAYCRAWL_BROADCAST_MAX_BYTES", "0")
-    a2 = customers_without_urgent_orders(SF).to_pandas()
-    assert a1.columns.tolist() == a2.columns.tolist()
-    assert a1.values.tolist() == a2.values.tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_components_empty_pair_graph():
     """A threshold no pair reaches must yield an empty cluster table with
     the cluster columns from the union-find fold."""
@@ -478,6 +480,22 @@ def test_components_empty_pair_graph():
     a = neardup_clusters(SF, threshold=0.999999).to_pandas()
     assert len(a) == 0
     assert a.columns.tolist() == ["doc_id", "keeper_doc_id", "cluster_size"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_broadcast_gate_fallbacks_anti_join_and_brand(monkeypatch):
+    """Forcing the gate shut pins the Dataset.join fallbacks of the
+    anti-join and the brand rollup output-equal to the broadcast plans."""
+    from raycrawl.relational import customers_without_urgent_orders, revenue_by_brand
+
+    a1 = customers_without_urgent_orders(SF).to_pandas()
+    b1 = revenue_by_brand(SF).to_pandas()
+    monkeypatch.setenv("RAYCRAWL_BROADCAST_MAX_BYTES", "0")
+    a2 = customers_without_urgent_orders(SF).to_pandas()
+    b2 = revenue_by_brand(SF).to_pandas()
+    assert a1.values.tolist() == a2.values.tolist()
+    assert b1.columns.tolist() == b2.columns.tolist()
+    assert b1.values.tolist() == b2.values.tolist()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -572,21 +590,73 @@ def test_langid_batch_equals_scalar_twin():
     assert got == exp
 
 
+def test_pii_scrub_batch_matches_duckdb_on_edge_cases():
+    """Polars (rust regex) and DuckDB (RE2) must agree on the PII patterns
+    over adversarial spans: multiple matches, boundary cases that must NOT
+    match (5-digit phone tail, trailing dot domains), and injected spans."""
+    import duckdb
+    import pyarrow as pa
+
+    from raycrawl.textops import pii_scrub_batch
+
+    texts = [
+        "plain words only",
+        "a@b.co touching c.d-e@f.gh.ij twice",
+        "ip 10.1.2.33 and 255.255.255.255 but not 1.2.3.4.5 alone?",
+        "call 555-0042 not 555-12345 nor x555-1234",
+        "MIXED user9@Example.COM then 10.0.0.1 then 555-9999",
+        "",
+    ]
+    ids = list(range(0, 6 * 7, 7))  # hit every injection residue class
+    t = pa.table({"doc_id": pa.array(ids, pa.int64()),
+                  "text": pa.array(texts)})
+    got = pii_scrub_batch(t).to_pandas().sort_values("doc_id")
+
+    from raycrawl.textops import pii_scrub_sql
+
+    con = duckdb.connect()
+    con.register("documents", t)
+    want = con.sql(pii_scrub_sql()).df().sort_values("doc_id")
+    for c in ["n_email", "n_phone", "n_ip", "n_chars_scrubbed", "text_md5"]:
+        assert list(got[c]) == list(want[c]), c
+    # the planted spans were really found and removed (non-identity scrub)
+    assert got["n_email"].sum() > 0 and got["n_phone"].sum() > 0
+
+
 @pytest.mark.usefixtures("ray_session")
+def test_pack_sequences_bucket_invariance():
+    """The distributed prefix sum's bucket count is a physical knob: the
+    packing assignment must be identical at any bucket_bits (the claim
+    that lets 100 TB raise it until a bucket fits a worker), and the
+    stream must be gapless: offsets are a permutation-free concatenation."""
+    from raycrawl.relational import pack_sequences
+
+    a = pack_sequences(SF, budget=512, bucket_bits=2).to_pandas()
+    b = pack_sequences(SF, budget=512, bucket_bits=10).to_pandas()
+    assert (a.values == b.values).all()
+    # gapless stream: sorted start_offs + lengths tile [0, total)
+    import pyarrow.parquet as pq
+
+    ln = (pq.read_table(f"{SF}/documents.parquet",
+                        columns=["doc_id", "n_chars"]).to_pandas()
+          .set_index("doc_id").loc[a["doc_id"]]["n_chars"].to_numpy())
+    ends = a["start_off"].to_numpy() + ln
+    assert a["start_off"].iloc[0] == 0
+    assert (a["start_off"].to_numpy()[1:] == ends[:-1]).all()
+
+
 def test_lm_familiarity_adversarial_edges_match_oracle(tmp_path):
-    """The training pipeline's LM-gate kernels (``lm_bigram_model`` +
-    ``lm_known_counts``) vs their DuckDB oracle on adversarial shapes: the
-    ref doc itself scored, 1-token docs (whole-text gram), within-doc
-    repeated bigrams (multiplicity counted in the mass), docs fully OOV
-    vs the model, and the degenerate tiny-model regime."""
+    """CCNet-analogue LM familiarity vs the DuckDB twin on adversarial
+    shapes: the ref doc itself scored, 1-token docs (whole-text gram),
+    within-doc repeated bigrams (multiplicity counted in the mass), docs
+    fully OOV vs the model, and the degenerate tiny-model regime."""
     import os
 
     import duckdb
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from raycrawl.textops import (lm_bigram_model, lm_familiarity_sql,
-                                  lm_known_counts)
+    from raycrawl.textops import lm_familiarity_scores, lm_familiarity_sql
 
     docs = pa.table({
         "doc_id": pa.array(list(range(6)), pa.int64()),
@@ -602,11 +672,7 @@ def test_lm_familiarity_adversarial_edges_match_oracle(tmp_path):
     d = str(tmp_path / "corpus")
     os.makedirs(d)
     pq.write_table(docs, d + "/documents.parquet")
-    mh, mc = lm_bigram_model(d)
-    n_bigrams, known, mass = lm_known_counts(docs["text"], mh, mc)
-    got = pd.DataFrame({"doc_id": docs["doc_id"].to_numpy(),
-                        "n_bigrams": n_bigrams, "n_known_bigrams": known,
-                        "sum_ref_count": mass})
+    got = lm_familiarity_scores(d).to_pandas()
     con = duckdb.connect()
     con.execute("CREATE VIEW documents AS SELECT * FROM "
                 f"read_parquet('{d}/documents.parquet')")
@@ -626,30 +692,88 @@ def test_lm_familiarity_adversarial_edges_match_oracle(tmp_path):
     assert by.loc[4, "n_known_bigrams"] == 0 == by.loc[4, "sum_ref_count"]
 
 
-def test_mixture_sample_rates_and_unknown_source():
-    """Per-source mixture sampling (the training pipeline's mixture gate,
-    ``mixture_keep_mask``): each source's keep set is exactly the hash
-    rule's (oracle-checked by the pipeline test); here pin the edge
+def test_mixture_sample_rates_and_unknown_source(tmp_path):
+    """Per-source mixture sampling: each source's keep set is exactly the
+    hash rule's (oracle-checked by the demoted sweep); here pin the edge
     semantics — rate 0 drops everything, rate 10000 and UNLISTED sources
     keep everything, and the draw is doc_id-deterministic across calls."""
-    from raycrawl.relational import mixture_keep_mask
+    import os
+
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from raycrawl.relational import documents_mixture_sample
 
     n = 400
     docs = pa.table({
         "doc_id": pa.array(list(range(n)), pa.int64()),
+        "text": pa.array(["t"] * n, pa.string()),
+        "lang": pa.array(["en"] * n, pa.string()),
         "source": pa.array(
             [("drop", "keep", "half", "mystery")[i % 4] for i in range(n)],
             pa.string()),
+        "n_chars": pa.array([1] * n, pa.int64()),
     })
+    d = str(tmp_path / "corpus")
+    os.makedirs(d)
+    pq.write_table(docs, d + "/documents.parquet")
     rates = {"drop": 0, "keep": 10000, "half": 5000}
-    keep = mixture_keep_mask(docs, rates)
-    got = docs.filter(pa.array(keep)).to_pandas()
+    got = documents_mixture_sample(d, rates_bp=rates).to_pandas()
     per = got.groupby("source").size()
     assert "drop" not in per.index
     assert per["keep"] == 100        # rate 10000 keeps all
     assert per["mystery"] == 100     # unlisted source keeps all
     assert 20 <= per["half"] <= 80   # ~50% Bernoulli at n=100
-    assert np.array_equal(keep, mixture_keep_mask(docs, rates))
+    again = documents_mixture_sample(d, rates_bp=rates).to_pandas()
+    pd.testing.assert_frame_equal(got, again)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_retrieval_stats_multibatch_partition_invariant(tmp_path):
+    """inverted_index_stats / bigram_collocations over a DIRECTORY-shaped
+    documents table split into 6 small files equal the single-file result
+    and the DuckDB oracle — pins (a) the cross-batch combine paths (at
+    sf0.001 a single file is one block, so the per-term reduceat combine
+    and the count-merge shuffle would otherwise only ever see one partial
+    per key) and (b) read_parquet_clean's directory handling."""
+    import duckdb
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from raycrawl.textops import (bigram_collocations,
+                                  bigram_collocations_sql,
+                                  inverted_index_stats,
+                                  inverted_index_stats_sql)
+
+    docs = pq.read_table(f"{SF}/documents.parquet")
+    split_dir = tmp_path / "documents.parquet"
+    split_dir.mkdir()
+    n = docs.num_rows
+    step = (n + 5) // 6
+    for i in range(6):
+        part = docs.slice(i * step, step)
+        if part.num_rows:
+            pq.write_table(part, split_dir / f"part-{i}.parquet")
+
+    single_ii = inverted_index_stats(SF, min_df=3, k=40).to_pandas()
+    multi_ii = inverted_index_stats(str(tmp_path), min_df=3, k=40).to_pandas()
+    pd.testing.assert_frame_equal(single_ii, multi_ii)
+
+    single_bc = bigram_collocations(SF, min_count=4, k=30).to_pandas()
+    multi_bc = bigram_collocations(str(tmp_path), min_count=4, k=30).to_pandas()
+    pd.testing.assert_frame_equal(single_bc, multi_bc)
+
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW documents AS SELECT * FROM "
+            f"read_parquet('{SF}/documents.parquet')")
+    want_ii = con.sql(inverted_index_stats_sql(3, 40)).df()
+    want_bc = con.sql(bigram_collocations_sql(4, 30)).df()
+    pd.testing.assert_frame_equal(
+        single_ii[sorted(single_ii.columns)].reset_index(drop=True),
+        want_ii[sorted(want_ii.columns)], check_dtype=False)
+    pd.testing.assert_frame_equal(
+        single_bc[sorted(single_bc.columns)].reset_index(drop=True),
+        want_bc[sorted(want_bc.columns)], check_dtype=False)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -778,6 +902,78 @@ def _duckdb_word_counts(extra_cols=""):
         "    unnest(regexp_extract_all(lower(text), '[a-z0-9_]+')) AS word"
         f"  FROM read_parquet('{SF}/documents.parquet'))"
         f" GROUP BY ALL ORDER BY ALL").fetchall()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_bpe_learned_merges_match_reference():
+    """The learned merge table must equal the BPE trainer reference run
+    over DuckDB-computed word counts — pinning both the distributed count
+    reduce and the driver merge loop."""
+    from raycrawl.textops import bpe_learned_merges
+
+    expect = _ref_bpe_merges(_duckdb_word_counts())
+    got = bpe_learned_merges(SF, n_merges=24).to_pandas()
+    assert list(map(tuple, got.itertuples(index=False))) == expect
+    assert len(expect) > 0
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_bpe_compression_matches_reference_apply():
+    """Applying the learned merges distributed (actor-pool stage with a
+    per-worker memo) must reproduce, per language, exactly the token
+    totals of the reference tokenizer applied to DuckDB-computed
+    per-(lang, word) counts — plus SQL-exact docs/words/chars."""
+    import duckdb
+
+    from raycrawl.textops import bpe_compression_by_lang
+
+    merges = [(l, r, l + r)
+              for _, l, r, _, _ in _ref_bpe_merges(_duckdb_word_counts())]
+
+    def n_tokens(word):
+        syms = tuple(word) + ("</w>",)
+        for left, right, _ in merges:
+            syms = _ref_merge_word(syms, left, right)
+        return len(syms)
+
+    lang_tok = {}
+    for lang, word, cnt in _duckdb_word_counts("lang,"):
+        lang_tok[lang] = lang_tok.get(lang, 0) + cnt * n_tokens(word)
+
+    con = duckdb.connect()
+    base = con.execute(
+        "SELECT lang, count(*) AS docs,"
+        "  CAST(sum(len(regexp_extract_all(lower(text), '[a-z0-9_]+')))"
+        "    AS BIGINT) AS words,"
+        "  CAST(sum(length(text)) AS BIGINT) AS chars"
+        f" FROM read_parquet('{SF}/documents.parquet')"
+        " GROUP BY lang ORDER BY lang").df()
+
+    got = bpe_compression_by_lang(SF).to_pandas()
+    assert list(got["lang"]) == list(base["lang"])
+    for col in ("docs", "words", "chars"):
+        assert list(got[col]) == list(base[col]), col
+    assert list(got["bpe_tokens"]) == [lang_tok[lg] for lg in got["lang"]]
+    assert list(got["chars_per_ktok"]) == [
+        c * 1000 // max(1, t)
+        for c, t in zip(got["chars"], got["bpe_tokens"])]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_balanced_shards_bucket_invariance_and_balance():
+    """The shard layout is a pure function of the corpus — the bucket
+    count is an execution detail, so coarse and fine bucket_bits must
+    produce identical assignments; and no shard may exceed the ideal
+    char budget by more than one max-length document."""
+    from raycrawl.relational import documents_balanced_shards
+
+    a = documents_balanced_shards(SF, n_shards=8, bucket_bits=2).to_pandas()
+    b = documents_balanced_shards(SF, n_shards=8, bucket_bits=8).to_pandas()
+    assert a.equals(b)
+    per = a.groupby("shard")["n_chars"].sum()
+    ideal = a["n_chars"].sum() / 8
+    assert (per <= ideal + a["n_chars"].max()).all()
+    assert set(a["shard"]) == set(range(8))
 
 
 def test_segmented_verify_matches_scalar_jaccard_edges():

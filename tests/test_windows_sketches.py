@@ -1,6 +1,7 @@
 """Window-function family (windows.py), stratified sampling / interval
-join (relational.py additions) and the other sf-view operators: DuckDB
-equality for every oracled query."""
+join (relational.py additions) and the HyperLogLog sketch (sketches.py):
+DuckDB equality for every oracled query, error-envelope + merge laws for
+the approximate sketch."""
 
 import duckdb
 import numpy as np
@@ -57,6 +58,13 @@ def test_events_type_rollup_oracle():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_events_pivot_by_type_oracle():
+    from raycrawl.windows import events_pivot_by_type, events_pivot_by_type_sql
+
+    _assert_oracle_equal(events_pivot_by_type(SF), events_pivot_by_type_sql())
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_documents_stratified_sample_oracle_and_balance():
     from raycrawl.relational import (documents_stratified_sample,
                                      documents_stratified_sample_sql)
@@ -82,6 +90,36 @@ def test_orders_in_top_customer_periods_oracle():
     n_orders = _duck("SELECT count(*) AS n FROM orders")["n"].iloc[0]
     assert (df["n_orders_in_period"] <= n_orders).all()
     assert (df["n_orders_in_period"] > 0).all()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_events_user_hll_envelope():
+    from raycrawl.sketches import events_user_hll
+
+    got = events_user_hll(SF).to_pandas()
+    exact = _duck("""SELECT event_type, count(DISTINCT user_id) AS n
+                     FROM events GROUP BY 1""").set_index("event_type")["n"]
+    assert len(got) == len(exact)
+    for r in got.itertuples():
+        e = int(exact[r.event_type])
+        assert abs(r.approx_users - e) <= max(1, 0.05 * e), r.event_type
+
+
+def test_hll_merge_laws_and_error():
+    from raycrawl.sketches import hll_estimate, hll_merge, hll_partial
+
+    keys = np.arange(200_000)
+    a = hll_partial(keys[:80_000])
+    b = hll_partial(keys[50_000:150_000])
+    c = hll_partial(keys[140_000:])
+    ab_c = hll_merge(hll_merge(a, b), c)
+    a_bc = hll_merge(a, hll_merge(b, c))
+    assert np.array_equal(ab_c, a_bc)                      # associative
+    assert np.array_equal(hll_merge(a, a), a)              # idempotent
+    est = hll_estimate(ab_c)
+    assert abs(est - 200_000) / 200_000 < 0.05             # error envelope
+    # disjoint unions only grow the estimate
+    assert hll_estimate(hll_merge(a, b)) >= hll_estimate(a) - 1e-9
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -135,3 +173,135 @@ def test_documents_profile_oracle():
     from raycrawl.profiling import documents_profile, documents_profile_sql
 
     _assert_oracle_equal(documents_profile(SF), documents_profile_sql())
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_events_ordered_page_oracle():
+    from raycrawl.relational import events_ordered_page, events_ordered_page_sql
+
+    got = events_ordered_page(SF, limit=40, offset=25).to_pandas()
+    want = _duck(events_ordered_page_sql(limit=40, offset=25))
+    # ordered comparison — row ORDER is the semantics here, so compare
+    # positionally instead of canon-sorting
+    got["ts"] = got["ts"].astype("datetime64[us]")
+    want["ts"] = want["ts"].astype("datetime64[us]")
+    pd.testing.assert_frame_equal(got, want[got.columns], check_dtype=False)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_events_daily_cumulative_oracle():
+    from raycrawl.windows import (events_daily_cumulative,
+                                  events_daily_cumulative_sql)
+
+    got = events_daily_cumulative(SF)
+    _assert_oracle_equal(got, events_daily_cumulative_sql())
+    df = got.to_pandas()
+    # last cumulative row per type equals that type's total
+    for _, g in df.groupby("event_type"):
+        assert g["cum_events"].iloc[-1] == g["n_events"].sum()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_revenue_by_brand_oracle():
+    from raycrawl.relational import revenue_by_brand, revenue_by_brand_sql
+
+    TABLES.append("part")
+    try:
+        _assert_oracle_equal(revenue_by_brand(SF), revenue_by_brand_sql())
+    finally:
+        TABLES.remove("part")
+
+
+# --- mergeable quantile sketch (MRL/KLL compactors) -------------------------
+
+def test_kll_unit_rank_error_and_merge():
+    """Rank error of the compactor sketch on a known stream ≤ the K_SKETCH
+    envelope, and merging partial sketches covers the same stream."""
+    from raycrawl.sketches import (K_SKETCH, kll_from_values, kll_merge,
+                                   kll_quantiles)
+
+    rng = np.random.default_rng(7)
+    vals = rng.integers(0, 1_000_000, size=200_000).astype(np.int64)
+    # one-shot sketch
+    sk = kll_from_values(vals)
+    # merged from 40 chunks (simulating per-batch partials)
+    chunks = np.array_split(vals, 40)
+    skm = kll_from_values(chunks[0])
+    for c in chunks[1:]:
+        skm = kll_merge(skm, kll_from_values(c))
+    s = np.sort(vals)
+    for sketch in (sk, skm):
+        for q in (0.25, 0.5, 0.75, 0.95):
+            est = kll_quantiles(sketch, [q])[0]
+            # rank of the estimate in the true distribution
+            r = np.searchsorted(s, est, side="right") / len(s)
+            assert abs(r - q) < 0.02, (q, r, est)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_events_value_quantiles_sketch_envelope():
+    """The distributed sketch's estimates sit within 2% rank error of the
+    EXACT oracled twin on every event_type, and n_events is exact."""
+    from raycrawl.relational import events_value_quantiles
+    from raycrawl.sketches import events_value_quantiles_sketch
+
+    exact = events_value_quantiles(SF).to_pandas().set_index("event_type")
+    approx = events_value_quantiles_sketch(SF).to_pandas().set_index("event_type")
+    assert sorted(exact.index) == sorted(approx.index)
+    ev = _duck("SELECT event_type, list(value ORDER BY value) AS v "
+               "FROM events GROUP BY event_type").set_index("event_type")
+    for et in exact.index:
+        assert int(approx.loc[et, "n_events"]) == int(exact.loc[et, "n_events"])
+        s = np.sort(np.asarray(ev.loc[et, "v"], dtype=np.float64))
+        for q in (25, 50, 75, 95):
+            est = float(approx.loc[et, f"q{q}"])
+            r = np.searchsorted(s, est, side="right") / len(s)
+            assert abs(r - q / 100.0) < 0.02, (et, q, est, r)
+
+
+# --- Misra-Gries heavy hitters ----------------------------------------------
+
+def test_mg_reduce_guarantee():
+    """Misra-Gries invariants on a synthetic Zipf stream: every key with
+    true count > n/cap survives, and true−err ≤ est ≤ true."""
+    from raycrawl.sketches import mg_reduce
+
+    rng = np.random.default_rng(11)
+    stream = rng.zipf(1.3, size=100_000)
+    stream = stream[stream < 10_000].astype(np.int64)
+    keys, true = np.unique(stream, return_counts=True)
+    cap = 64
+    # simulate per-batch summaries + merge (keyed sum, then one reduce)
+    merged: dict = {}
+    err = 0
+    for chunk in np.array_split(stream, 20):
+        ck, cc = np.unique(chunk, return_counts=True)
+        ck, cc, dec = mg_reduce(ck, cc.astype(np.int64), cap)
+        err += dec
+        for kk, vv in zip(ck.tolist(), cc.tolist()):
+            merged[kk] = merged.get(kk, 0) + vv
+    mk = np.array(list(merged), np.int64)
+    mc = np.array([merged[x] for x in mk], np.int64)
+    mk, mc, dec = mg_reduce(mk, mc, cap)
+    err += dec
+    est = dict(zip(mk.tolist(), mc.tolist()))
+    n = len(stream)
+    for kk, tr in zip(keys.tolist(), true.tolist()):
+        if tr > err:
+            assert kk in est, (kk, tr, err)  # err ≤ n/cap-ish bound
+        if kk in est:
+            assert est[kk] <= tr <= est[kk] + err, (kk, tr, est[kk], err)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_heavy_hitters_exact_regime_matches_twin():
+    """With cap ≥ distinct users the MG sketch is EXACT: est_count equals
+    the oracled twin's counts, max_err = 0."""
+    from raycrawl.relational import top_users_by_events
+    from raycrawl.sketches import events_user_heavy_hitters
+
+    exact = top_users_by_events(SF, k=10).to_pandas()
+    approx = events_user_heavy_hitters(SF, k=10, cap=100_000).to_pandas()
+    assert (approx["max_err"] == 0).all()
+    assert approx["user_id"].tolist() == exact["user_id"].tolist()
+    assert approx["est_count"].tolist() == exact["n_events"].tolist()

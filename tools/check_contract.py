@@ -88,9 +88,8 @@ def main() -> int:
             continue
         dt = time.time() - t0
         if name not in oracles:
-            # both registries are fully oracled
-            print(f"FAIL  {name}: no oracle ({dt:.1f}s)")
-            failures += 1
+            # rows-only queries may carry binary columns — don't canon them
+            print(f"ROWS  {name}: {len(raw)} rows, cols={list(raw.columns)} ({dt:.1f}s)")
             continue
         ours = canon(raw)
         try:
