@@ -314,12 +314,18 @@ def _begin_round(rdir: str, r: int, seen_handles, seed_id: str):
     return nodes_path, edges_path
 
 
-def _finish_barrier(rdir: str, seen_handles, nodes_path: str, edges_path: str):
+def _finish_barrier(rdir: str, seen_handles, nodes_path: str, edges_path: str,
+                    overlap=None):
     """Round barrier: shards close their edge partitions, resolve winners,
-    write nodes deltas; seed-src edge rows persist as a tiny sidecar."""
+    write nodes deltas; seed-src edge rows persist as a tiny sidecar.
+    ``overlap()`` (the near-dup probe) runs in the driver while the shards
+    commit; the two write disjoint files."""
     import ray
 
-    stats = ray.get([h.commit_round.remote() for h in seen_handles])
+    refs = [h.commit_round.remote() for h in seen_handles]
+    if overlap is not None:
+        overlap()
+    stats = ray.get(refs)
     for path, schema in ((nodes_path, NODES_SCHEMA), (edges_path, EDGES_SCHEMA)):
         if not any(f.endswith(".parquet") for f in os.listdir(path)):
             pq.write_table(schema.empty_table(),
@@ -403,12 +409,13 @@ def _run_round(ckpt: str, r: int, crawl_id: str, cfg: CrawlConfig,
          plus, with ``neardup_threshold`` set, its COMPLETED parents'
          shingle rows (so the shingle pass runs on every CPU, not in the
          driver);
-      neardup: the driver concatenates both outputs in submission order,
-         so shingle rows stay paired with their parents, and probes /
-         indexes the round (``probe_and_index_round``);
       barrier: shards resolve J2 winners and write BOTH the nodes delta
          and the Lead-edge parquet partitions themselves; seed-src edge
          rows come back as a tiny sidecar;
+      neardup: while the shards commit, the driver concatenates both
+         fetch outputs in submission order, so shingle rows stay paired
+         with their parents, and probes / indexes the round
+         (``probe_and_index_round``);
       frontier_{r+1} = new PENDING nodes ∪ PENDING parents (M11
          re-enqueue), built on the driver and written as one file.
     Parent status updates ARE round_out; edges live in the shard-written
@@ -462,11 +469,14 @@ def _run_round(ckpt: str, r: int, crawl_id: str, cfg: CrawlConfig,
         _begin_round(rdir, r, seen_handles, seed_id)  # reset shard round state
         outs = fetch_stage()
     parents = pa.concat_tables([p for p, _sh in outs])
+    t_fetch = _time.perf_counter() - t0
     t_neardup = 0.0
     nd_counters: dict = {}
-    if neardup:
+
+    def probe() -> None:
         from raycrawl.ingest_dedup import probe_and_index_round
 
+        nonlocal t_neardup
         t_nd0 = _time.perf_counter()
         done = parents.filter(pa.compute.equal(parents["status"], "COMPLETED"))
         probe_and_index_round(ckpt, r, done.select(["node_id", "name", "http_type"]),
@@ -474,9 +484,10 @@ def _run_round(ckpt: str, r: int, crawl_id: str, cfg: CrawlConfig,
                               shingles=pa.concat_tables([sh for _p, sh in outs]),
                               counters=nd_counters)
         t_neardup = _time.perf_counter() - t_nd0
-    t_fetch = _time.perf_counter() - t0 - t_neardup
 
-    stats = _finish_barrier(rdir, seen_handles, nodes_path, edges_path)
+    stats = _finish_barrier(rdir, seen_handles, nodes_path, edges_path,
+                            probe if neardup else None)
+    # the barrier wait that remains after the overlapped probe
     t_barrier = _time.perf_counter() - t0 - t_fetch - t_neardup
 
     nodes = pads.dataset(_parquet_files([nodes_path])).to_table(

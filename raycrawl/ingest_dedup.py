@@ -41,8 +41,13 @@ Semantics (mirrors the reference-corpus documents lane,
 Scale notes: the text, shingle, band and signature pass
 (``_shingle_band_batch``) runs inside the crawl's fetch tasks, one
 ``fetch_batch_size`` chunk at a time, so it uses every CPU the fetch
-stage uses; the driver keeps only the probe, bounded by the round's
-fetched count, and runs its prefilter+verify slices one at a time, in
+stage uses. It builds its grams with Arrow string kernels and keeps no
+buffer pool between chunks; on 3,000 bench pages it takes about 0.6 s
+on one core (grams 0.2 s, per-page sorted-unique under 0.1 s, MinHash
+bands 0.2 s, page texts 0.1 s). No trace stage times it on its own: its
+cost shows inside ``crawl.fetch_stage_s``. The driver keeps only the probe,
+bounded by the round's fetched count; it runs while the seen shards
+commit the round, and runs its prefilter+verify slices one at a time, in
 process. Page identity is carried as the high 64 bits of the 128-bit
 node-id hash; at 10^10-frontier scale carry the full (hi, lo) pair like
 fetch.CorpusIndex.

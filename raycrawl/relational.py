@@ -301,10 +301,15 @@ def top_customers_sql(k: int = 10) -> str:
 def order_lineitem_join_stats(sf_dir: str) -> pa.Table:
     """Both-sides-large join: lineitem ⋈ orders via Dataset.join
     (hash-partitioned), then order-priority rollup of line revenue."""
+    import ray
+
     li = _t(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
     orders = _t(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
+    # CPU-sized like the sibling joins: Ray Data reserves memory for each
+    # hash-shuffle aggregator, and a fixed 16 outgrows small clusters
+    n_parts = max(2, min(16, int(ray.cluster_resources().get("CPU", 4))))
     joined = li.join(
-        orders, join_type="inner", num_partitions=16,
+        orders, join_type="inner", num_partitions=n_parts,
         on=("l_orderkey",), right_on=("o_orderkey",),
     )
 

@@ -7,9 +7,12 @@ documented approximate/RNG set."""
 
 def _mod():
     import importlib.util
+    import os
 
+    # this checkout's registry, wherever it lives
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
-        "__ray_entry__", "/root/repo/__ray_entry__.py")
+        "__ray_entry__", os.path.join(root, "__ray_entry__.py"))
     m = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(m)
     return m

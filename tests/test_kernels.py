@@ -587,6 +587,94 @@ def test_md5_gram_hashes_arrow_fast_path_bit_identical():
         h1s, o1s = md5_gram_hashes(texts[3:23], k)
         assert np.array_equal(h3, h1s) and np.array_equal(o3, o1s)
 
+    def same(col, want):
+        for k in (1, 2, 3, 5):
+            h, o = md5_gram_hashes_arrow(col, k)
+            hw, ow = md5_gram_hashes(want, k)
+            assert np.array_equal(o, ow) and np.array_equal(h, hw), k
+
+    # null texts yield no grams, like empty ones
+    with_nulls = [None, "a b c d", None, None, "x", "", None, "p q r s t"]
+    same(pa.array(with_nulls, pa.string()), [t or "" for t in with_nulls])
+    same(pa.array(texts, pa.large_string()), texts)
+    same(pa.chunked_array([pa.array(texts[:7], pa.string()),
+                           pa.array([], pa.string()),
+                           pa.array(texts[7:30], pa.string()),
+                           pa.array(texts[30:], pa.string())]), texts)
+    # runs of empty and whitespace-only docs between non-empty ones, read
+    # through a slice whose offset is not zero
+    gappy = ["lead doc here", "", " \t ", "", "one two three four", "\n",
+             "", "  ", "solo", "", "", "a b", " \r\x0b ", "end of it all"]
+    for typ in (pa.string(), pa.large_string()):
+        arr = pa.array(["skip me", "and me too"] + gappy, typ).slice(2)
+        assert arr.offset == 2
+        same(arr, gappy)
+
+
+def test_mod_mersenne_equals_remainder():
+    """The Mersenne fold is ``% (2^61 - 1)`` for every uint64, including
+    the values at and around the modulus and the largest uint64."""
+    from raycrawl.kernels import _MERSENNE, mod_mersenne
+
+    m = int(_MERSENNE)
+    edges = [0, 1, m - 1, m, m + 1, m + 7, 2 * m - 1, 2 * m, 2 * m + 1,
+             3 * m, 2**63, 2**64 - 2, 2**64 - 1]
+    rnd = np.random.default_rng(17).integers(0, 2**64 - 1, size=100_000,
+                                             dtype=np.uint64, endpoint=True)
+    v = np.concatenate([np.array(edges, np.uint64), rnd])
+    want = v % _MERSENNE
+    got = mod_mersenne(v.copy(), np.empty_like(v))
+    assert np.array_equal(got, want)
+    assert [int(x) for x in got[:len(edges)]] == [e % m for e in edges]
+
+
+def test_shingle_list_batch_rows_are_unique_grams():
+    """Each ``shingle_list_batch`` row is ``np.unique`` of its document's
+    gram hashes. The batch holds more than 2^16 documents, so the doc
+    order takes two 16-bit radix passes."""
+    from raycrawl.kernels import md5_gram_hashes, shingle_list_batch
+
+    rng = np.random.default_rng(5)
+    words = np.array(["a", "b", "c", "dd", "e"])
+    n = (1 << 16) + 300
+    texts = [" ".join(words[rng.integers(0, 5, size=rng.integers(0, 9))])
+             for _ in range(n)]
+    texts[-1] = " ".join(["a", "b", "a", "b", "a", "b"] * 3)
+    t = shingle_list_batch(pa.array(np.arange(n), pa.int64()),
+                           pa.array(texts, pa.string()))
+    h, offs = md5_gram_hashes(texts, 3)
+    col = t["shingles"].combine_chunks()
+    vals = col.values.to_numpy()
+    lo = col.offsets.to_numpy()
+    assert np.array_equal(t["n_shingles"].to_numpy(), np.diff(lo))
+    for i in range(n):
+        assert np.array_equal(vals[lo[i]:lo[i + 1]],
+                              np.unique(h[offs[i]:offs[i + 1]])), i
+
+
+def _module_array_bytes(mod) -> int:
+    """Bytes of the numpy arrays a module holds in its globals, directly or
+    inside a dict, list or tuple."""
+    total = 0
+    for v in vars(mod).values():
+        items = (v.values() if isinstance(v, dict)
+                 else v if isinstance(v, (list, tuple)) else [v])
+        total += sum(x.nbytes for x in items if isinstance(x, np.ndarray))
+    return total
+
+
+def test_md5_gram_hashes_arrow_keeps_no_module_scratch():
+    """A gram-hash call grows no module-level buffer pool: a pool grown to
+    a batch's gram bytes held about 235 MB in each fetch worker."""
+    from raycrawl import kernels
+
+    texts = pa.array([" ".join(f"w{i}_{j}" for j in range(400))
+                      for i in range(300)], pa.string())
+    before = _module_array_bytes(kernels)
+    h, offs = kernels.md5_gram_hashes_arrow(texts, 3)
+    assert len(h) == 300 * 398
+    assert _module_array_bytes(kernels) == before
+
 
 # ---------------------------------------------------------------------------
 # the crawl path needs no pandas: enrichment and ingest near-dup use the

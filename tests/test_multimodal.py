@@ -47,14 +47,16 @@ def test_media_summary_no_deadlock_on_tiny_cluster():
     """Regression (VERDICT r1): a fixed-size actor pool used to hold every
     CPU on small clusters and starve the producer stage forever. The
     pipeline must complete on a 2-CPU cluster in bounded time."""
+    import os
     import subprocess
     import sys
 
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = (
         "import ray, sys\n"
         "ray.init(address='local', num_cpus=2, include_dashboard=False,"
         " logging_level='ERROR')\n"
-        "sys.path.insert(0, '/root/repo')\n"
+        f"sys.path.insert(0, {root!r})\n"
         "from raycrawl.multimodal import media_summary\n"
         "t = media_summary('/root/testdata/sf0.001').to_pandas()\n"
         "assert t['n_media'].sum() == 500\n"

@@ -87,9 +87,12 @@ def test_quality_and_fingerprint_shapes():
 
 @pytest.mark.usefixtures("ray_session")
 def test_entry_contract_smoke():
+    import os
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    # this checkout's registry, wherever it lives
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     import __ray_entry__ as e
 
     out = e.entry()

@@ -11,6 +11,7 @@ the driver's 50-row window) instead of the main one.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -63,7 +64,9 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    # this checkout's registry, wherever it lives
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     import __ray_entry__ as entry
 
     if demoted:
