@@ -25,20 +25,17 @@ idempotent and cheap; outputs are cached under /tmp.
 from __future__ import annotations
 
 import os
-import re
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from raycrawl.kernels import hash64_int
+from raycrawl.kernels import TAG_RE, hash64_int, strip_tags
 from raycrawl import sim
 from raycrawl import dns_synth
 from raycrawl.kernels import normalize_url
 
 _BASE_TS_US = 1_767_225_600_000_000  # 2026-01-01T00:00:00Z in µs
-
-_TAG_RE = re.compile(r"<[^>]+>")
 
 PRESETS = {
     "tiny": dict(n_hosts=200, mean_links=6),
@@ -249,7 +246,7 @@ def generate_corpus(
         urls.append(url)
         ts.append(_BASE_TS_US + i * 1_000_000)
         htmls.append(html.encode("utf-8"))
-        texts.append(_TAG_RE.sub("", html))
+        texts.append(TAG_RE.sub("", html))
         langs.append(["en", "de", "fr", "es", "pt"][hash64_int(f"lang:{h}") % 5])
         cap_src.append(url)
         cap_lists.append(caps)
@@ -493,7 +490,7 @@ def generate_corpus_fast(
             pa.scalar("</title></head><body>\n"), fillers, pa.scalar("\n"),
             body, mark, pa.scalar("\n</body></html>"),
         )
-        text = pc.replace_substring_regex(html, "<[^>]+>", "")
+        text = strip_tags(html).cast(pa.string())
         urls = cat(page_protos, pa.scalar("://"), page_hosts)
         ts = pa.array(
             _BASE_TS_US + np.arange(start, stop, dtype=np.int64) * 1_000_000,

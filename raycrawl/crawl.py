@@ -51,6 +51,8 @@ from raycrawl.frontier import (
     EDGES_SCHEMA,
     NODES_SCHEMA,
     ROUND_OUT_SCHEMA,
+    _trace_flush,
+    _trace_mark,
     fetch_expand_batch,
 )
 from raycrawl.kernels import decode_html, extract_urls, hash128, host_of, normalize_url
@@ -367,16 +369,25 @@ def _fetch_slice(path: str, batch: pa.Table, batch_size: int,
     (the columns the driver needs: the frontier columns, node_id and
     status; the shingle/band/signature rows of the COMPLETED parents, in
     their row order, computed chunk by chunk when ``neardup``, else
-    empty)."""
+    empty). A traced near-dup crawl also times the shingle pass, as the
+    ``neardup_shingle`` stage."""
+    import time
+
     from raycrawl.ingest_dedup import _shingle_band_batch
 
+    traced = neardup and bool(os.environ.get("RAYCRAWL_TRACE_DIR"))
     ros, shs = [], []
     for off in range(0, batch.num_rows, batch_size):
         ro = fetch_expand_batch(batch.slice(off, batch_size), **fetch_kw)
         done = ro.filter(pa.compute.equal(ro["status"], "COMPLETED"))
         ros.append(ro)
+        t0 = time.perf_counter()
         shs.append(_shingle_band_batch(done if neardup else done.slice(0, 0),
                                        fetch_kw["corpus_ref"]))
+        if traced:
+            _trace_mark("neardup_shingle", t0)
+            # fetch_expand_batch's own record already counted these rows
+            _trace_flush(0)
     ro = pa.concat_tables(ros)
     pq.write_table(ro, path)
     return (ro.select(FRONTIER_SCHEMA.names + ["node_id", "status"]),

@@ -35,6 +35,10 @@ Optional per-page enrichment (``CrawlConfig.enrich``):
 tag-strip text, token counts, quality score, SimHash, MinHash band hash,
 winnowing fingerprint, language guess — the per-page featurization a
 training-data crawl runs at fetch time, attached to the parent row.
+``enrich_page`` is the scalar definition; ``enrich_pages`` computes the
+same values for a batch with Arrow string splits, numpy byte runs and
+segmented reductions, with no Python per page, and hands the round
+assembly typed Arrow columns.
 """
 
 from __future__ import annotations
@@ -48,13 +52,15 @@ from raycrawl import dns_synth, sim
 from raycrawl.fetch import STATUS_ROBOTS
 from raycrawl.kernels import (
     _LANG_HINTS,
-    _MERSENNE,
     _PERM_A,
     _PERM_B,
     STOPWORDS,
+    TAG_RE,
     WORD_RE,
     hash128,
     minhash_signature,
+    mod_mersenne,
+    strip_tags,
     token_hash64,
 )
 from raycrawl.seen import SeenRouter
@@ -133,21 +139,36 @@ def _dns(name: str, max_depth: int):
 # per-page enrichment (vectorized; the realistic parse workload)
 # ---------------------------------------------------------------------------
 
-import re as _re
-
-_TAG_RE = _re.compile(r"<[^>]+>")
 _FP_K = 8
 _FP_MULT = np.uint64(0x100000001B3)
 _MAX_TOKENS = 256       # featurization window (tokens)
 _LANGID_CHARS = 1024    # language-ID window (chars)
-# ``enrich_page``'s Python tokenizers spelled in the Rust regex dialect
-# polars runs: ``str.split()`` also splits at the separators U+001C-U+001F,
-# which Rust's ``\s`` lacks, and Python's ``\w`` is letters, numbers and
-# "_", while Rust's also takes combining marks, join controls and other
-# connector punctuation. Both agree with Python on every code point its
-# Unicode tables assign (checked exhaustively on 3.11 / Unicode 14).
-_TOKEN_PAT = r"[^\s\x1c-\x1f]+"
+_SIM_CHUNK = 128        # SimHash lane-sum chunk (tokens, at most 255)
+# ``enrich_page``'s ``\w+`` in the Rust regex dialect polars runs: Python's
+# ``\w`` is letters, numbers and "_", while Rust's also takes combining
+# marks, join controls and other connector punctuation. Both agree on
+# every code point Python's Unicode tables assign (checked exhaustively on
+# 3.11 / Unicode 14).
 _WORD_PAT = r"[\p{L}\p{N}_]+"
+# The ASCII word pass lowercases a run of at most 4 bytes with ``| 0x20``
+# and compares it, packed little-endian, against the packed stopwords.
+# ``| 0x20`` maps A-Z onto a-z and digits and "_" outside them, so this is
+# ``run.lower() in STOPWORDS`` only while every stopword is 1-4 lowercase
+# ASCII letters.
+if not all(1 <= len(w) <= 4 and w.isascii() and w.isalpha() and w.islower()
+           for w in STOPWORDS):
+    raise ValueError("the ASCII word pass needs 1-4 lowercase ASCII "
+                     "letters per stopword")
+_STOP_PACKED = np.sort(np.array(
+    [int.from_bytes(w.encode(), "little") for w in STOPWORDS], np.uint32))
+# the byte mask of a word that starts at p, by the 4-bit flags x "byte
+# p+j+1 continues it" (j = 0..3): its length is 1 + the trailing ones of x,
+# the bit length of ~x & (x + 1); x = 15 means longer than 4 bytes
+_RUN_MASK = np.array([(1 << 8 * (~x & x + 1).bit_length()) - 1
+                      for x in range(15)] + [0], np.uint32)
+_FEAT_TYPES = {"n_tokens": pa.int32(), "quality": pa.float64(),
+               "simhash": pa.uint64(), "fingerprint": pa.uint64(),
+               "minhash0": pa.uint64(), "lang_pred": pa.string()}
 
 
 @functools.cache
@@ -169,7 +190,7 @@ def enrich_page(html_text: str) -> dict:
     _MAX_TOKENS tokens, language ID over the first _LANGID_CHARS chars —
     standard practice for per-page featurization, and it bounds the memory
     traffic per page (full-text rescans were the throughput ceiling)."""
-    text = _TAG_RE.sub("", html_text)
+    text = TAG_RE.sub("", html_text)
     tokens = text.split()
     n_tok = len(tokens)
     window = tokens[:_MAX_TOKENS]
@@ -218,57 +239,168 @@ def enrich_page(html_text: str) -> dict:
                 fingerprint=fingerprint, minhash0=minhash0, lang_pred=best)
 
 
-_NO_ENRICH = dict(n_tokens=None, quality=None, simhash=None,
-                  fingerprint=None, minhash0=None, lang_pred=None)
+def _str_buffers(a: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """A large_string array's (data bytes, offsets), zero-copy."""
+    offs = np.frombuffer(a.buffers()[1], np.int64)
+    offs = offs[a.offset:a.offset + len(a) + 1]
+    data = a.buffers()[2]
+    return (np.frombuffer(data, np.uint8) if data is not None
+            else np.empty(0, np.uint8)), offs
 
 
-_FEAT_NAMES = ("n_tokens", "quality", "simhash", "fingerprint",
-               "minhash0", "lang_pred")
+def _ascii_word_stats(vb: np.ndarray, vo: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(words, stopwords, word bytes) per page for ASCII window tokens:
+    ``vb`` holds the token bytes back to back, ``vo`` the token offsets,
+    and page i's window is ``vb[lo[i]:hi[i]]``. A word is a run of ``\\w``
+    bytes that restarts at each token start, as the scalar's
+    ``" ".join(window)`` keeps words from crossing tokens."""
+    n = len(vb)
+    u8 = np.uint8
+    isw = np.zeros(n + 4, dtype=bool)       # padded: no word past the end
+    w, t = isw[:n], vb | u8(0x20)
+    t -= u8(0x61)
+    np.less(t, u8(26), out=w)               # a-z, A-Z
+    np.subtract(vb, u8(0x30), out=t)
+    w |= t < u8(10)                         # 0-9
+    w |= vb == u8(0x5F)                     # _
+    first = np.zeros(n + 4, dtype=bool)     # a word starts here
+    first[0] = isw[0]
+    np.greater(w[1:], w[:-1], out=first[1:n])
+    ts = vo[:-1]                            # token starts
+    first[ts] = isw[ts]
+    rs = np.flatnonzero(first)
+    nonword = np.flatnonzero(~w)
+    # the 4 bytes after a word start, as one unaligned uint32 of "this
+    # byte continues the word" flags, give the word's length up to 4
+    cont = np.greater(isw, first).view(u8)
+    c4 = np.ndarray((n,), "<u4", buffer=cont, offset=1, strides=(1,))[rs]
+    short = np.flatnonzero(c4 != np.uint32(0x01010101))
+    at, c4 = rs[short], c4[short]
+    mask = _RUN_MASK[(c4 & 1) | (c4 >> 7 & 2) | (c4 >> 14 & 4)
+                     | (c4 >> 21 & 8)]
+    # its bytes, read the same way, lowercased and masked to the word
+    w4 = np.empty(len(at), np.uint32)
+    tail = at > n - 4
+    if n >= 4:
+        w4[~tail] = np.ndarray((n - 3,), "<u4", buffer=vb,
+                               strides=(1,))[at[~tail]]
+    if tail.any():                          # the last 3 bytes
+        w4[tail] = [int.from_bytes(vb[i:i + 4].tobytes(), "little")
+                    for i in at[tail].tolist()]
+    w4 = (w4 | np.uint32(0x20202020)) & mask
+    stops = at[np.isin(w4, _STOP_PACKED)]
+
+    def count(pos: np.ndarray) -> np.ndarray:
+        return np.searchsorted(pos, hi) - np.searchsorted(pos, lo)
+
+    return count(rs), count(stops), (hi - lo) - count(nonword)
 
 
-def enrich_pages(htmls) -> dict:
-    """Batched ``enrich_page`` over a list or Arrow string column of pages:
-    value-identical per page (asserted by pytest), returned as COLUMNS —
-    ``{feature: object ndarray aligned with htmls}`` with ``None`` where
-    ``htmls[i]`` is null — so the round assembly feeds Arrow directly
-    instead of re-pivoting 10^6 dicts.
-
-    Fully vectorized: tag-strip / tokenize / window / quality / langid run
-    as polars column ops (``_TOKEN_PAT``/``_WORD_PAT`` tokenize as the
-    scalar's ``str.split()`` and ``\\w+`` do), ALL pages' token
-    windows hash in ONE ``token_hash64`` call, simhash bits pack across
-    the whole batch, and the only per-page Python left is two C-level
-    slice minima (fingerprint/minhash windows overlap page boundaries in
-    the global roll array, so a segmented reduce can't express them)."""
+def _polars_word_stats(values: pa.Array, first: np.ndarray,
+                       lens: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(words, stopwords, word chars) per page, as the scalar counts them:
+    the window tokens ``values[first[i]:first[i] + lens[i]]`` joined with
+    " ", lowercased, then ``_WORD_PAT`` runs, all in polars."""
     import polars as pl
+    import pyarrow.compute as pc
 
-    if not isinstance(htmls, pa.Array):
+    offs = np.zeros(len(lens) + 1, np.int64)
+    np.cumsum(lens, out=offs[1:])
+    idx = np.arange(offs[-1]) + np.repeat(first - offs[:-1], lens)
+    window = pa.LargeListArray.from_arrays(pa.array(offs),
+                                           values.take(pa.array(idx)))
+    wtext = pc.binary_join(window, pa.scalar(" ", pa.large_string()))
+    words = pl.from_arrow(wtext).str.to_lowercase().str.extract_all(_WORD_PAT)
+    nw = words.list.len().fill_null(0).to_numpy()
+    nstop = (words.list.eval(pl.element().is_in(sorted(STOPWORDS))
+                             .cast(pl.UInt32))
+             .list.sum().fill_null(0).to_numpy())
+    wchars = (words.list.eval(pl.element().str.len_chars())
+              .list.sum().fill_null(0).to_numpy())
+    return nw, nstop, wchars
+
+
+def _segment_min(a: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``[a[s[i]:e[i]].min() for i]`` for non-empty, ordered,
+    non-overlapping segments, as one ``minimum.reduceat`` over the
+    interleaved bounds (the in-between results are dropped)."""
+    if not len(s):
+        return np.empty(0, a.dtype)
+    idx = np.empty(2 * len(s), np.int64)
+    idx[0::2] = s
+    idx[1::2] = e
+    if idx[-1] == len(a):
+        idx = idx[:-1]
+    return np.minimum.reduceat(a, idx)[0::2]
+
+
+def enrich_pages(htmls) -> dict[str, pa.Array]:
+    """Batched ``enrich_page`` over a list or Arrow string column of pages:
+    value-identical per page (asserted by pytest), returned as typed Arrow
+    COLUMNS (``{feature: array aligned with htmls}``, null where
+    ``htmls[i]`` is null); the round assembly gathers them per batch row.
+
+    Vectorized over the batch: one polars tag strip
+    (``kernels.strip_tags``); one Arrow whitespace split, the ASCII pair
+    when no byte is ≥ 0x80 or in U+001C–U+001F, else the UTF-8 pair (both
+    split as ``str.split()`` there); each page's window is read off the
+    list offsets. Word statistics run as numpy byte runs over the window
+    tokens of the ASCII pages, and as polars ``_WORD_PAT`` over the
+    joined window of the others. ALL pages' window tokens hash in ONE
+    ``token_hash64`` call; SimHash bit counts are 8 lane sums by
+    ``add.reduceat``; fingerprint and MinHash minima are one
+    ``minimum.reduceat`` each over the global rolling arrays (a page's
+    slice of them never leaves the page). No Python runs per page."""
+    import polars as pl
+    import pyarrow.compute as pc
+
+    if isinstance(htmls, pa.ChunkedArray):
+        htmls = htmls.combine_chunks()
+    elif not isinstance(htmls, pa.Array):
         htmls = pa.array(htmls, pa.string())
     n = len(htmls)
-    out = {k: np.full(n, None, dtype=object) for k in _FEAT_NAMES}
-    idxs = np.flatnonzero(htmls.is_valid().to_numpy(zero_copy_only=False))
-    m = len(idxs)
+    valid = htmls.is_valid().to_numpy(zero_copy_only=False)
+    m = int(valid.sum())
     if m == 0:
-        return out
+        return {k: pa.nulls(n, t) for k, t in _FEAT_TYPES.items()}
 
-    s = pl.from_arrow(htmls.drop_null())
-    text = s.str.replace_all(_TAG_RE.pattern, "")
-    toks = text.str.extract_all(_TOKEN_PAT)
-    n_tok = toks.list.len().to_numpy().astype(np.int64)
-    window = toks.list.head(_MAX_TOKENS)
+    text = strip_tags(htmls if m == n else htmls.drop_null())
+    tb, to = _str_buffers(text)
+    tb = tb[to[0]:to[-1]]
+    ascii_ws = not ((tb >= 0x80).any() or (tb - np.uint8(0x1C) < 4).any())
+    if ascii_ws:
+        toks = pc.ascii_split_whitespace(pc.ascii_trim_whitespace(text))
+    else:
+        toks = pc.utf8_split_whitespace(pc.utf8_trim_whitespace(text))
+    values = toks.values
+    loffs = toks.offsets.to_numpy().astype(np.int64)
+    first = loffs[:-1]
+    vb, vo = _str_buffers(values)
+    n_tok = np.diff(loffs)
+    # an empty or whitespace-only page splits to ['']
+    one = np.flatnonzero(n_tok == 1)
+    n_tok[one[vo[first[one] + 1] == vo[first[one]]]] = 0
     lens = np.minimum(n_tok, _MAX_TOKENS)
     starts = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(lens, out=starts[1:])
+    T = int(starts[-1])
 
-    # quality over the joined window — the exact string " ".join(window)
-    wlow = window.list.join(" ").str.to_lowercase()
-    words = wlow.str.extract_all(_WORD_PAT)
-    nw = words.list.len().fill_null(0).to_numpy().astype(np.float64)
-    nstop = (words.list.eval(pl.element().is_in(sorted(STOPWORDS))
-                             .cast(pl.UInt32))
-             .list.sum().fill_null(0).to_numpy().astype(np.float64))
-    wchars = (words.list.eval(pl.element().str.len_chars())
-              .list.sum().fill_null(0).to_numpy().astype(np.float64))
+    # quality over the window's words, as ``\w+`` finds them in
+    # " ".join(window).lower()
+    lo, hi = vo[first], vo[first + lens]
+    nw, nstop, wchars = _ascii_word_stats(vb, vo, lo, hi)
+    if not ascii_ws:
+        # pages with a byte >= 0x80 inside their window
+        hib = np.flatnonzero(vb >= 0x80)
+        pg = np.searchsorted(hi, hib, side="right")
+        inside = pg < m
+        pg, hib = pg[inside], hib[inside]
+        odd = np.unique(pg[lo[pg] <= hib])
+        if len(odd):
+            nw[odd], nstop[odd], wchars[odd] = _polars_word_stats(
+                values, first[odd], lens[odd])
+    nw = nw.astype(np.float64)
     with np.errstate(invalid="ignore"):
         stop_ratio = np.where(nw > 0, nstop / nw, 0.0)
         mean_wl = np.where(nw > 0, wchars / nw, 0.0)
@@ -280,7 +412,7 @@ def enrich_pages(htmls) -> dict:
     # (exact, see kernels._LANG_HINTS), then per-page gram counts →
     # per-language scores; np.argmax first-max == dict-order tie-break
     langs, grams, lang_w = _lang_grams()
-    low = text.str.slice(0, _LANGID_CHARS).str.to_lowercase()
+    low = pl.from_arrow(text).str.slice(0, _LANGID_CHARS).str.to_lowercase()
     denom = low.str.len_chars().to_numpy().astype(np.float64) + 1.0
     found = low.str.extract_many(grams, overlapping=True)
     gram_ix = (found.explode(empty_as_null=False).drop_nulls()
@@ -290,78 +422,86 @@ def enrich_pages(htmls) -> dict:
         np.repeat(np.arange(m), found.list.len().to_numpy()) * len(grams)
         + gram_ix, minlength=m * len(grams)).reshape(m, len(grams))
     scores = per_gram @ lang_w / denom[:, None]
-    lang_pred = np.array(langs, dtype=object)[np.argmax(scores, axis=1)]
+    lang_ix = np.argmax(scores, axis=1)
 
-    flat = window.explode(empty_as_null=False).drop_nulls()
-    if len(flat):
-        th_all = token_hash64(flat.to_arrow())
-    else:
-        th_all = np.empty(0, dtype=np.uint64)
-    T = len(th_all)
-
-    # simhash: per-token bit matrix → segmented per-page bit counts via
-    # ONE contiguous cumsum + gather-diff. NOT np.add.reduceat: reduceat's
-    # axis-0 inner loop is strided per segment and was measured collapsing
-    # to >70 s on a 1M×64 matrix under fragmented-memory conditions where
-    # the sequential cumsum stays at ~100 ms. acc = 2*ones_count - len,
-    # computed per page below.
-    nz = np.flatnonzero(lens)
-    if T:
-        bits = np.unpackbits(
-            th_all.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
-        )
-        n_nz = len(nz)
-        ones_cnt = np.empty((n_nz, 64), dtype=np.int32)
-        s_nz = starts[nz]
-        e_nz = s_nz + lens[nz]
-        for j in range(n_nz):
-            # contiguous ≤window×64 block sum; loop count is pages, not
-            # tokens — the hot bytes stream exactly once
-            bits[s_nz[j]:e_nz[j]].sum(axis=0, dtype=np.int32, out=ones_cnt[j])
-    # rolling k-gram fingerprint array (global; a slice [start, start+len-K]
-    # stays inside its page by construction)
-    K = _FP_K
-    if T >= K:
-        with np.errstate(over="ignore"):
-            roll = th_all[: T - K + 1].copy()
-            for j in range(1, K):
-                roll = roll * _FP_MULT ^ th_all[j : T - K + 1 + j]
-    else:
-        roll = np.empty(0, dtype=np.uint64)
-    # minhash lane: 3-gram shingles → perm-0 values (min unaffected by the
-    # de-dup the signature path does)
-    if T >= 3:
-        with np.errstate(over="ignore"):
-            sh3 = (th_all[:-2] * _FP_MULT
-                   ^ th_all[1:-1] * np.uint64(1099511628211) ^ th_all[2:])
-            p0 = (sh3 * _PERM_A[0] + _PERM_B[0]) % _MERSENNE
-    else:
-        p0 = np.empty(0, dtype=np.uint64)
+    win = np.arange(T) + np.repeat(first - starts[:-1], lens)
+    th_all = token_hash64(values)[win] if T else np.empty(0, np.uint64)
 
     sim = np.zeros(m, dtype=np.uint64)
     fp = np.zeros(m, dtype=np.uint64)
     mh = np.zeros(m, dtype=np.uint64)
+    nz = np.flatnonzero(lens)
     if T:
-        # simhash packs across the whole batch at once: (n_nz, 64) sign
-        # bits → (n_nz, 8) bytes → one uint64 per page
-        acc = 2 * ones_cnt - lens[nz][:, None].astype(np.int32)
+        # simhash: per page and bit, the window tokens that set the bit.
+        # Lane k of a hash, (h >> k) & 0x0101..01, holds bits k, k+8, ..,
+        # k+56 as one byte each, so one uint64 add counts 8 bits; a sum of
+        # at most 255 lanes cannot carry out of a byte. So each lane is
+        # summed over chunks of _SIM_CHUNK tokens by one reduceat, and a
+        # page's chunks by one more. acc = 2*ones - len; one packbits.
+        nchunk = -(-lens[nz] // _SIM_CHUNK)
+        cfirst = np.zeros(len(nz) + 1, np.int64)
+        np.cumsum(nchunk, out=cfirst[1:])
+        cs = (np.repeat(starts[nz] - cfirst[:-1] * _SIM_CHUNK, nchunk)
+              + np.arange(cfirst[-1]) * _SIM_CHUNK)
+        lanes = np.empty((len(cs), 8), "<u8")
+        lane = np.empty(T, np.uint64)
+        for k in range(8):
+            np.right_shift(th_all, np.uint64(k), out=lane)
+            lane &= np.uint64(0x0101010101010101)
+            lanes[:, k] = np.add.reduceat(lane, cs)
+        # byte b of lane k counts bit 8b + k
+        ones = np.add.reduceat(
+            lanes.view(np.uint8).reshape(-1, 8, 8).transpose(0, 2, 1)
+            .reshape(-1, 64), cfirst[:-1], axis=0, dtype=np.int32)
+        acc = 2 * ones - lens[nz][:, None].astype(np.int32)
         sim[nz] = np.ascontiguousarray(
             np.packbits((acc > 0).astype(np.uint8), axis=1,
                         bitorder="little")).view(np.uint64).ravel()
-        for j in nz:
-            ln = int(lens[j])
-            s0 = int(starts[j])
-            seg_min = th_all[s0:s0 + ln].min()
-            fp[j] = roll[s0:s0 + ln - K + 1].min() if ln >= K else seg_min
-            mh[j] = p0[s0:s0 + ln - 2].min() if ln >= 3 else seg_min
 
-    out["n_tokens"][idxs] = n_tok.tolist()
-    out["quality"][idxs] = quality.tolist()
-    out["simhash"][idxs] = sim.tolist()
-    out["fingerprint"][idxs] = fp.tolist()
-    out["minhash0"][idxs] = mh.tolist()
-    out["lang_pred"][idxs] = lang_pred
-    return out
+        # fingerprint: min of the rolling k-gram hash over the page's
+        # slice [start, start+len-K+1) of the global roll array; MinHash
+        # lane: min of perm 0 over its 3-gram shingles (the de-dup the
+        # signature path does cannot change a min). Pages too short for
+        # one gram take their token-hash min.
+        K = _FP_K
+        with np.errstate(over="ignore"):
+            roll = th_all[:T - K + 1].copy() if T >= K else th_all[:0]
+            for j in range(1, K if T >= K else 1):
+                roll *= _FP_MULT
+                roll ^= th_all[j:T - K + 1 + j]
+            p0 = th_all[:-2] * _FP_MULT
+            tmp = th_all[1:-1] * np.uint64(1099511628211)
+            p0 ^= tmp
+            p0 ^= th_all[2:]
+            p0 *= _PERM_A[0]
+            p0 += _PERM_B[0]
+            mod_mersenne(p0, tmp)
+        for g, vals, out in ((K, roll, fp), (3, p0, mh)):
+            full = nz[lens[nz] >= g]
+            short = nz[lens[nz] < g]
+            out[full] = _segment_min(vals, starts[full],
+                                     starts[full] + lens[full] - g + 1)
+            out[short] = _segment_min(th_all, starts[short],
+                                      starts[short] + lens[short])
+
+    def column(vals: np.ndarray, name: str) -> pa.Array:
+        if m == n:
+            return pa.array(vals, _FEAT_TYPES[name])
+        full = np.zeros(n, vals.dtype)
+        full[valid] = vals
+        return pa.array(full, _FEAT_TYPES[name], mask=~valid)
+
+    lang_full = np.zeros(n, np.int64)
+    lang_full[valid] = lang_ix
+    return {
+        "n_tokens": column(n_tok, "n_tokens"),
+        "quality": column(quality, "quality"),
+        "simhash": column(sim, "simhash"),
+        "fingerprint": column(fp, "fingerprint"),
+        "minhash0": column(mh, "minhash0"),
+        "lang_pred": pa.array(langs, pa.string()).take(
+            pa.array(lang_full, mask=~valid)),
+    }
 
 
 _TRACE: dict = {}
@@ -468,12 +608,13 @@ def fetch_expand_batch(
     if _tr:
         _t = _trace_mark("fetch_loop", _t)
     if enrich:
-        # batch row → its page, null where the row fetched no page
+        # batch row → its page's features, null where it fetched no page
         pos = np.full(n, -1, dtype=np.int64)
         pos[page_row] = np.arange(len(page_row))
-        feat_cols = enrich_pages(pages.take(pa.array(pos, mask=pos < 0)))
+        at = pa.array(pos, mask=pos < 0)
+        feat_cols = {k: c.take(at) for k, c in enrich_pages(pages).items()}
     else:
-        feat_cols = {k: [None] * n for k in _FEAT_NAMES}
+        feat_cols = {k: pa.nulls(n, t) for k, t in _FEAT_TYPES.items()}
     if _tr:
         _t = _trace_mark("enrich", _t)
 
@@ -584,12 +725,7 @@ def fetch_expand_batch(
             "parent_id": empty_str,
             "fetch_status": pa.array(status_np, pa.int32()),
             "round": pa.array(np.full(n, round_no, np.int32()), pa.int32()),
-            "n_tokens": pa.array(feat_cols["n_tokens"], pa.int32()),
-            "quality": pa.array(feat_cols["quality"], pa.float64()),
-            "simhash": pa.array(feat_cols["simhash"], pa.uint64()),
-            "fingerprint": pa.array(feat_cols["fingerprint"], pa.uint64()),
-            "minhash0": pa.array(feat_cols["minhash0"], pa.uint64()),
-            "lang_pred": pa.array(feat_cols["lang_pred"], pa.string()),
+            **feat_cols,
         },
         schema=ROUND_OUT_SCHEMA,
     )

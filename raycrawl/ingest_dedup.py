@@ -92,7 +92,7 @@ INDEX_SCHEMA = pa.schema(
     ]
 )
 
-_TAG_PAT = r"<[^>]+>"
+
 def _band_key(bid: np.ndarray, bh: np.ndarray) -> np.ndarray:
     """(band_id, band_hash) → one mixed uint64 sort/join key: numpy's
     structured-dtype searchsorted falls off the vectorized fast path
@@ -141,15 +141,14 @@ def _pids(node_ids) -> np.ndarray:
 def _page_texts(parents: pa.Table, corpus_ref) -> pa.Array:
     """Tag-stripped body text per COMPLETED parent, through the fetch
     stage's corpus lookup (``fetch.corpus_rows``/``corpus_html``) —
-    vectorized hash lookup + Arrow take + one regex kernel."""
+    vectorized hash lookup + Arrow take + ``kernels.strip_tags``."""
     from raycrawl.fetch import corpus_html, corpus_key_strings, corpus_rows
-    from raycrawl.kernels import hash128
+    from raycrawl.kernels import hash128, strip_tags
 
     qhi, qlo = hash128(corpus_key_strings(parents["name"].combine_chunks(),
                                           parents["http_type"].combine_chunks()))
     html = corpus_html(corpus_ref, corpus_rows(corpus_ref, qhi, qlo))
-    return pc.replace_substring_regex(
-        pc.cast(html, pa.large_string()), pattern=_TAG_PAT, replacement="")
+    return strip_tags(pc.cast(html, pa.large_string()))
 
 
 def _gather_segments(flat: np.ndarray, offs: np.ndarray,

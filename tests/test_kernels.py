@@ -256,7 +256,7 @@ def test_enrich_pages_equals_enrich_page():
 def _assert_enrich_equal(htmls):
     from raycrawl.frontier import enrich_page, enrich_pages
 
-    got = enrich_pages(htmls)
+    got = {k: col.to_pylist() for k, col in enrich_pages(htmls).items()}
     for i, h in enumerate(htmls):
         if h is None:
             assert all(got[k][i] is None for k in got)
@@ -286,6 +286,125 @@ _enrich_word = st.one_of(
                 min_size=1, max_size=6))
 def test_enrich_pages_equals_enrich_page_unicode(htmls):
     _assert_enrich_equal(htmls)
+
+
+# ASCII pages reach the numpy word pass: stopwords in mixed case, punctuation
+# and "_" inside tokens, digits, every ASCII whitespace byte, tags, and
+# pages longer than the 256-token window
+_ascii_word = st.one_of(
+    st.sampled_from(["the", "The", "THE", "tHe", "a", "A", "of", "OF", "and",
+                     "AnD", "that", "This", "with", "be", "an", "it", "x",
+                     "<b>", "</p>", "<a href='x'>", "<", ">", "<>", "_",
+                     "the_", "9", "a1"]),
+    st.lists(st.sampled_from(list("abTHE_09.,-'<>!;") + ["the", "Of"]),
+             min_size=1, max_size=6).map("".join),
+)
+_ascii_ws = st.sampled_from([" ", "\t", "\n", "\x0b", "\x0c", "\r",
+                             " \t ", "\r\n"])
+
+
+@st.composite
+def _ascii_page(draw):
+    words = draw(st.lists(_ascii_word, max_size=60))
+    words = words * draw(st.sampled_from([1, 1, 6]))     # > 256 tokens
+    seps = draw(st.lists(_ascii_ws, min_size=len(words) + 1,
+                         max_size=len(words) + 1))
+    return seps[0] + "".join(w + s for w, s in zip(words, seps[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ascii_page(), min_size=1, max_size=6))
+def test_enrich_pages_equals_enrich_page_ascii(htmls):
+    _assert_enrich_equal(htmls)
+
+
+def test_enrich_pages_mixed_batch_rows_align():
+    """A batch that mixes plain, non-ASCII, U+001C, null, empty and
+    whitespace-only rows: every row gets its own page's features, equal to
+    the scalar's, and a row alone in a batch gets the same ones."""
+    from raycrawl.frontier import enrich_pages
+
+    plain = "<p>The cat and the dog of it</p> " + " ".join(
+        f"w{i} the" for i in range(300))
+    rows = [
+        plain, "<b>café</b> the crème of it", None, "the\x1cof and\x1fA",
+        "", " \t\n ", "Straße and the Ökonomie " * 200, None,
+        plain.upper(), "x\u00a0y the\u3000of", "\x1c", "<p>only tags</p>",
+        # one token 300 times: every SimHash bit count reaches the window
+        "the " * 300, "Of\t" * 255,
+    ]
+    batch = [rows[i % len(rows)] for i in range(3 * len(rows))]
+    _assert_enrich_equal(batch)
+    got = {k: v.to_pylist() for k, v in enrich_pages(batch).items()}
+    for i, h in enumerate(batch):
+        alone = {k: v.to_pylist()[0] for k, v in enrich_pages([h]).items()}
+        assert alone == {k: got[k][i] for k in got}, (i, h)
+    assert len(set(got["simhash"]) - {None}) >= 6
+
+
+def test_utf8_split_equals_str_split_every_code_point():
+    """The UTF-8 trim + split pair that ``enrich_pages`` tokenizes with
+    splits as ``str.split()`` at every code point (U+001C-U+001F
+    included), and the ASCII pair does on every ASCII byte but those four.
+    Pinned so that a pyarrow upgrade that moves either fails here."""
+    import sys
+
+    import pyarrow.compute as pc
+
+    cps = [c for c in range(sys.maxunicode + 1)
+           if not 0xD800 <= c <= 0xDFFF]
+    chars = [chr(c) for c in cps]
+    texts = pa.array([f"{ch}a{ch}b{ch}" for ch in chars], pa.large_string())
+    toks = pc.utf8_split_whitespace(pc.utf8_trim_whitespace(texts))
+    space = np.array([not ch.split() for ch in chars])
+    lens = pc.list_value_length(toks).to_numpy()
+    assert (lens == np.where(space, 2, 1)).all()
+    flat = toks.flatten()
+    first = toks.offsets.to_numpy()[:-1]
+    assert pc.all(pc.equal(flat.take(pa.array(first[space])), "a")).as_py()
+    assert pc.all(pc.equal(flat.take(pa.array(first[space] + 1)),
+                           "b")).as_py()
+    assert flat.take(pa.array(first[~space])).equals(
+        texts.filter(pa.array(~space)))
+
+    ascii_ = [c for c in range(128) if not 0x1C <= c <= 0x1F]
+    atexts = [f"{chr(c)}a{chr(c)}b{chr(c)}" for c in ascii_]
+    got = pc.ascii_split_whitespace(pc.ascii_trim_whitespace(
+        pa.array(atexts, pa.large_string()))).to_pylist()
+    assert got == [t.split() or [""] for t in atexts]
+
+
+def test_strip_tags_matches_re_sub():
+    """``kernels.strip_tags`` is ``re.sub(r"<[^>]+>", "", text)`` per row,
+    on Unicode text, empty tags, nested openers, unclosed tags and tags
+    that span lines; nulls stay null."""
+    import re
+
+    from raycrawl.kernels import strip_tags
+
+    texts = ["<p>café</p> naïve <b>中文</b>", "a <> b", "<<a>x", "x < y",
+             "unclosed <tag", "<a\nhref='y'>multi\nline</a>", ">>a<",
+             "<é>ü<\u00a0>", "<<>>", "", "<>a<b>", "a<b<c>d>e",
+             "1 < 2 > 0", None]
+    got = strip_tags(pa.array(texts, pa.string()))
+    assert got.type == pa.large_string()
+    assert got.to_pylist() == [None if t is None else
+                               re.sub(r"<[^>]+>", "", t) for t in texts]
+    chunked = pa.chunked_array([texts[:5], texts[5:]], pa.string())
+    assert strip_tags(chunked).to_pylist() == got.to_pylist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet=st.sampled_from(
+    list("<>a /=\n") + ["\u00e9", "\u4e2d", "\U0001f600"]), max_size=30),
+    min_size=1, max_size=5))
+def test_strip_tags_matches_re_sub_generated(texts):
+    import re
+
+    from raycrawl.kernels import strip_tags
+
+    assert strip_tags(pa.array(texts, pa.string())).to_pylist() == \
+        [re.sub(r"<[^>]+>", "", t) for t in texts]
 
 
 # --- identity hash: self-contained, library-independent ---------------------
@@ -697,7 +816,7 @@ import raycrawl.crawl, raycrawl.fetch, raycrawl.seen, raycrawl.ingest_dedup
 from raycrawl import frontier, kernels
 
 htmls, texts = json.loads(sys.argv[1])
-feats = frontier.enrich_pages(htmls)
+feats = {k: col.to_pylist() for k, col in frontier.enrich_pages(htmls).items()}
 sh = kernels.shingle_list_batch(pa.array([1, 2], pa.int64()), texts)
 _, sig8 = kernels.minhash_bands_batch(sh, return_sig=True)
 col = sh["shingles"].combine_chunks()
